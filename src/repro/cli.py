@@ -29,8 +29,7 @@ from .analysis import (analyze_coverage, analyze_peak_power,
                        compare_power, concrete_peak, timing_slack)
 from .bespoke import area_report, generate_bespoke, validate_bespoke
 from .coanalysis.frontier import FRONTIER_STRATEGIES
-from .coanalysis.results import (CoAnalysisError, PartialResult,
-                                 RunInterrupted)
+from .coanalysis.results import CoAnalysisError, PartialResult
 from .resilience.artifacts import atomic_write_text
 from .resilience.governor import RunBudget
 from .csm import CSM_STRATEGIES
@@ -38,7 +37,7 @@ from .isa import ASSEMBLERS
 from .netlist import write_verilog
 from .reporting import (DESIGN_ORDER, figure5, figure6, run_grid, table3,
                         table4)
-from .reporting.runner import run_one
+from .reporting.runner import ENGINES, run_one
 from .sim.vcd import VcdWriter
 from .workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 
@@ -76,11 +75,9 @@ def cmd_analyze(args) -> int:
                      strategy=CSM_STRATEGIES[args.csm](),
                      use_constraints=not args.no_constraints,
                      checkpoint=args.checkpoint, resume=args.resume,
-                     workers=args.workers,
                      frontier=args.strategy, engine=args.engine,
                      trace=args.trace, progress=args.progress,
                      budget=_run_budget(args),
-                     quarantine=args.quarantine_after,
                      cache=args.cache, lanes=args.lanes)
     summary = result.summary()
     if result.resumed:
@@ -99,8 +96,6 @@ def cmd_analyze(args) -> int:
         summary["segment_cache_hits"] = result.segment_cache_hits
         summary["segment_cache_misses"] = result.segment_cache_misses
         summary["stop_reason"] = getattr(result, "stop_reason", None)
-        if result.quarantine_verdicts:
-            summary["quarantine_verdicts"] = result.quarantine_verdicts
         print(json.dumps(summary, indent=2))
     else:
         for key, value in summary.items():
@@ -407,7 +402,6 @@ def cmd_submit(args) -> int:
     spec = {"design": args.design, "benchmark": args.benchmark,
             "csm": args.csm, "engine": args.engine,
             "frontier": args.strategy, "lanes": args.lanes,
-            "workers": args.workers,
             "use_constraints": not args.no_constraints,
             "deadline_seconds": args.deadline,
             "max_rss_mb": args.max_rss_mb,
@@ -538,13 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csm", choices=sorted(CSM_STRATEGIES),
                        default="uber",
                        help="conservative-state-manager merge strategy")
-        p.add_argument("--engine",
-                       choices=["serial", "event", "parallel", "batch"],
-                       default=None,
-                       help="simulation backend (default: serial, or "
-                            "parallel when --workers > 1; batch runs "
-                            "the whole frontier in lockstep, --lanes "
-                            "paths per settle)")
+        p.add_argument("--engine", choices=ENGINES, default=None,
+                       help="simulation backend (default: serial; "
+                            "batch runs the whole frontier in lockstep, "
+                            "--lanes paths per settle)")
         p.add_argument("--lanes", type=int, default=None, metavar="N",
                        help="lane-plane width for --engine batch: paths "
                             "simulated per lockstep settle (a multiple "
@@ -564,9 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resume", action="store_true",
                        help="continue from the newest intact record in "
                             "--checkpoint instead of starting fresh")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="explore paths with N supervised worker "
-                            "processes (default: serial)")
         p.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget; a governed run past it "
@@ -583,11 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-segments", type=int, default=None,
                        metavar="N",
                        help="stop gracefully after N explored segments")
-        p.add_argument("--quarantine-after", type=int, default=None,
-                       metavar="K",
-                       help="quarantine a segment whose (pc, state) key "
-                            "kills workers K times instead of degrading "
-                            "the pool (parallel engine)")
         p.add_argument("--cache", metavar="DIR", default=None,
                        help="content-addressed artifact store: memoize "
                             "settled segments under the run's "
@@ -694,13 +677,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "http://127.0.0.1:8351)")
     p.add_argument("--csm", choices=sorted(CSM_STRATEGIES),
                    default="uber")
-    p.add_argument("--engine",
-                   choices=["serial", "event", "parallel", "batch"],
-                   default=None)
+    p.add_argument("--engine", choices=ENGINES, default=None)
     p.add_argument("--strategy", choices=sorted(FRONTIER_STRATEGIES),
                    default="dfs")
     p.add_argument("--lanes", type=int, default=None, metavar="N")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
     p.add_argument("--no-constraints", action="store_true")
     p.add_argument("--deadline", type=float, default=None,
                    metavar="SECONDS")
@@ -773,9 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--resume requires --checkpoint")
     try:
         return args.func(args)
-    except RunInterrupted as exc:
-        print(f"interrupted ({exc.stop_reason}): {exc}", file=sys.stderr)
-        return 3
     except CoAnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

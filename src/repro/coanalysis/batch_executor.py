@@ -3,13 +3,13 @@
 :class:`BatchSegmentExecutor` plugs the bit-packed lane-parallel
 :class:`~repro.sim.batch_sim.BatchCycleSim` into the exploration kernel
 through the same :class:`~repro.coanalysis.backend.SimBackend`
-protocol the serial and pool backends implement -- the kernel, CSM,
+protocol the serial and event backends implement -- the kernel, CSM,
 frontier strategies, budgets, checkpointing, governor and trace layers
 run unchanged.
 
-Like the pool backend it asks the kernel for the *whole frontier* per
-batch (``batch_limit=None``); unlike the pool it simulates every
-pending path in **lockstep inside one process**: each path gets a lane,
+It asks the kernel for the *whole frontier* per batch
+(``batch_limit=None``) and simulates every pending path in **lockstep
+inside one process**: each path gets a lane,
 all lanes share every ``settle()``/``clock_edge()``, and a lane that
 reaches its segment boundary (done / halt / budget) retires
 mid-flight while the rest keep running.
@@ -176,8 +176,8 @@ class BatchSegmentExecutor(SimBackend):
         return dict(self._last_batch)
 
     def finalize(self, result: CoAnalysisResult) -> None:
-        # per-segment activity was absorbed at lane retirement (the pool
-        # backend's contract); nothing left to fold in here
+        # per-segment activity was absorbed at lane retirement; nothing
+        # left to fold in here
         result.batch_stats = self.stats
 
     # -- one streaming batch ------------------------------------------------

@@ -10,9 +10,6 @@ of simulating a path segment:
   ``backend="event"`` it is an :class:`EventSimBridge`, a
   CycleSim-compatible facade over the event-driven kernel, so the
   paper's literal simulator runs the exact same harness and kernel.
-* the pool executor for wave parallelism lives in
-  :mod:`repro.coanalysis.parallel` (its worker entry points must stay
-  importable at module top level for ``spawn`` pickling).
 
 The executor owns *how* a segment simulates; halting policy, CSM
 merging, forking, budgets and checkpoints all live in the kernel.

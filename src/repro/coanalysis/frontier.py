@@ -12,8 +12,8 @@ separation is what lets scaling strategies compose.
 Three strategies ship:
 
 * :class:`DepthFirstFrontier` -- the paper's LIFO stack (serial default);
-* :class:`BreadthFirstFrontier` -- FIFO, the wave-parallel engine's
-  natural order (whole frontier dispatched per wave);
+* :class:`BreadthFirstFrontier` -- FIFO, the batch engine's natural
+  order (whole frontier dispatched per lockstep wave);
 * :class:`NoveltyFrontier` -- prefers paths forked at rarely-seen halt
   PCs, steering simulation toward unexplored program regions first.
 """
@@ -135,7 +135,7 @@ class NoveltyFrontier(FrontierStrategy):
     exercised yet, so it is scheduled first; among equally novel paths
     the shallower one wins, then insertion order (deterministic).  This
     front-loads coverage growth -- useful with tight cycle budgets or
-    time-sliced (``stop_after_waves``) exploration.
+    time-sliced (``max_segments`` budget / service shard) exploration.
     """
 
     name = "novelty"

@@ -23,7 +23,6 @@ class PathRecord:
     end_pc: Optional[int]
     cycles: int
     outcome: str                 # "split" | "skipped" | "done" | "budget"
-                                 # | "quarantined"
     forced_decision: Optional[int] = None
     #: path_id of the segment whose split spawned this one (None = root)
     parent: Optional[int] = None
@@ -34,9 +33,8 @@ class RunEvent:
     """One entry of a run's resilience journal.
 
     ``kind`` is drawn from a small vocabulary so operators can grep a
-    long run's history: ``checkpoint``, ``resume``, ``timeout``,
-    ``crash``, ``corrupt``, ``retry``, ``pool_restart``, ``degraded``,
-    ``interrupt``, ``quarantined``, ``governed_stop``.
+    long run's history: ``checkpoint``, ``resume``, ``interrupt``,
+    ``governed_stop``.
     """
 
     kind: str
@@ -64,13 +62,9 @@ class CoAnalysisResult:
     #: per-segment exercised-net arrays (aligned with path_records);
     #: populated when the engine runs with record_per_path_activity
     per_path_exercised: List = field(default_factory=list)
-    #: resilience journal: every fault observed, retry issued, pool
-    #: restart, checkpoint written, and resume performed during the run
+    #: resilience journal: every checkpoint written, resume performed,
+    #: interrupt and governed stop during the run
     journal: List[RunEvent] = field(default_factory=list)
-    #: worker failures that were absorbed by retry / re-dispatch
-    recovered_failures: int = 0
-    #: True when the parallel engine fell back to serial execution
-    degraded_to_serial: bool = False
     #: True when this result continues an earlier checkpointed run
     resumed: bool = False
     #: discrete events processed (event-driven backend only; 0 otherwise)
@@ -78,11 +72,6 @@ class CoAnalysisResult:
     #: aggregated :class:`~repro.coanalysis.trace.RunMetrics` derived
     #: from the kernel's trace stream (None for hand-built results)
     metrics: Optional[object] = None
-    #: pending paths skipped because their segment key was quarantined
-    quarantined_paths: int = 0
-    #: machine-readable verdicts for every quarantined segment key
-    #: (:meth:`~repro.resilience.quarantine.QuarantineRegistry.summary`)
-    quarantine_verdicts: List[Dict] = field(default_factory=list)
     #: lane accounting from the batched backend
     #: (:class:`~repro.coanalysis.batch_executor.BatchRunStats`; None
     #: for the other engines)
@@ -131,8 +120,6 @@ class CoAnalysisResult:
             "simulated_cycles": self.simulated_cycles,
             "truncated_paths": self.truncated_paths,
         }
-        if self.quarantined_paths:
-            out["quarantined_paths"] = self.quarantined_paths
         if self.segment_cache_hits or self.segment_cache_misses:
             out["segment_cache_hits"] = self.segment_cache_hits
             out["segment_cache_misses"] = self.segment_cache_misses
@@ -141,7 +128,7 @@ class CoAnalysisResult:
 
 #: machine-readable reasons a governed run can stop early (open set)
 STOP_REASONS = ("deadline", "memory", "frontier", "segments",
-                "interrupted", "wave_budget")
+                "interrupted")
 
 
 @dataclass
@@ -192,29 +179,6 @@ class CoAnalysisError(Exception):
     """Analysis could not complete soundly (e.g. path budget exhausted)."""
 
 
-class WorkerFailure(CoAnalysisError):
-    """A pool worker failed to produce a segment result."""
-
-    def __init__(self, message: str, wave: Optional[int] = None,
-                 segment: Optional[int] = None, attempts: int = 0):
-        super().__init__(message)
-        self.wave = wave
-        self.segment = segment
-        self.attempts = attempts
-
-
-class SegmentTimeout(WorkerFailure):
-    """A segment exceeded its wall-clock budget (hung or dead worker)."""
-
-
-class WorkerCrashed(WorkerFailure):
-    """A worker raised (or died) while simulating a segment."""
-
-
-class StateCorruption(WorkerFailure):
-    """A handed-off state blob failed its integrity check."""
-
-
 class CheckpointError(CoAnalysisError):
     """A checkpoint could not be written, read, or applied."""
 
@@ -222,16 +186,3 @@ class CheckpointError(CoAnalysisError):
 class ResumeMismatch(CheckpointError):
     """A checkpoint does not belong to the run being resumed
     (different design, application, or engine kind)."""
-
-
-class RunInterrupted(CoAnalysisError):
-    """The run stopped early on purpose (wave budget / interrupt) after
-    writing a checkpoint; resume with ``resume=True`` to continue.
-
-    Carries a machine-readable ``stop_reason`` mirroring
-    :class:`PartialResult` so callers (the CLI exit message, schedulers)
-    need not parse the human-readable text."""
-
-    def __init__(self, message: str, stop_reason: str = "wave_budget"):
-        super().__init__(message)
-        self.stop_reason = stop_reason

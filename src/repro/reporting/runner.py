@@ -36,7 +36,7 @@ from ..workloads import WORKLOAD_ORDER, WORKLOADS, build_target
 
 DESIGN_ORDER = ["bm32", "omsp430", "dr5"]     # paper table column order
 
-ENGINES = ("serial", "event", "parallel", "batch")
+ENGINES = ("serial", "event", "batch")
 
 
 def _make_tracer(trace, progress: bool) -> Optional[Tracer]:
@@ -51,15 +51,33 @@ def _make_tracer(trace, progress: bool) -> Optional[Tracer]:
     return Tracer(sinks) if sinks else None
 
 
+def _pair_setup(design: str, benchmark: str, use_constraints: bool = True):
+    """The target and CSM constraint set of a (design, benchmark) pair:
+    the one construction site for :func:`run_one`, :func:`run_grid` and
+    :func:`pair_fingerprint`."""
+    workload = WORKLOADS[benchmark]
+    target = build_target(design, workload)
+    constraints = None
+    text = workload.constraints.get(design) if use_constraints else None
+    if text:
+        constraints = ConstraintSet(parse_constraints(text),
+                                    target.state_net_positions())
+    return target, constraints
+
+
 def _pair_fingerprint(design: str, benchmark: str,
-                      strategy: Optional[MergeStrategy],
-                      target, constraints,
+                      strategy: MergeStrategy, target, constraints,
                       engine: str = "serial", frontier: str = "dfs",
                       max_cycles_per_path: int = 20000,
-                      max_total_cycles: Optional[int] = 2_000_000,
+                      max_total_cycles: int = 2_000_000,
                       lanes: Optional[int] = None,
                       ) -> RunFingerprint:
-    """Fingerprint one (design, benchmark) configuration."""
+    """Fingerprint one (design, benchmark) configuration.
+
+    The lane width is part of the batch engine's identity (a warm cache
+    at one width misses cleanly at another): it defaults to 64 there and
+    is ``None`` on every other engine.
+    """
     return run_fingerprint(
         netlist=target.netlist, strategy=strategy,
         constraints=constraints, design=design, application=benchmark,
@@ -67,7 +85,8 @@ def _pair_fingerprint(design: str, benchmark: str,
         symbolic_ranges=target.symbolic_ranges,
         engine=engine, frontier=frontier,
         max_cycles_per_path=max_cycles_per_path,
-        max_total_cycles=max_total_cycles, lanes=lanes)
+        max_total_cycles=max_total_cycles,
+        lanes=(lanes or 64) if engine == "batch" else None)
 
 
 def pair_fingerprint(design: str, benchmark: str,
@@ -76,32 +95,20 @@ def pair_fingerprint(design: str, benchmark: str,
                      engine: str = "serial", frontier: str = "dfs",
                      lanes: Optional[int] = None,
                      max_cycles_per_path: int = 20000,
-                     max_total_cycles: Optional[int] = 2_000_000,
+                     max_total_cycles: int = 2_000_000,
                      ) -> RunFingerprint:
     """Fingerprint a (design, benchmark) run the way :func:`run_one`
-    would key its caches.
-
-    Builds the target and constraint set itself and applies the same
-    normalizations ``run_one`` applies before hashing (the parallel
-    engine runs without a total-cycle budget; the lane width defaults to
-    64 on the batch engine and is ``None`` elsewhere), so a submission
-    keyed on this digest shares segment caches and run manifests with a
-    direct ``repro run --cache`` of the same configuration.
+    keys its caches: the same pair set-up and the same fingerprint
+    call, so a submission keyed on this digest shares segment caches
+    and run manifests with a direct ``repro run --cache`` of the same
+    configuration.
     """
-    workload = WORKLOADS[benchmark]
-    target = build_target(design, workload)
-    constraints = None
-    text = workload.constraints.get(design) if use_constraints else None
-    if text:
-        constraints = ConstraintSet(parse_constraints(text),
-                                    target.state_net_positions())
+    target, constraints = _pair_setup(design, benchmark, use_constraints)
     return _pair_fingerprint(
         design, benchmark, strategy or UberConservative(),
         target, constraints, engine=engine, frontier=frontier,
         max_cycles_per_path=max_cycles_per_path,
-        max_total_cycles=(None if engine == "parallel"
-                          else max_total_cycles),
-        lanes=((lanes or 64) if engine == "batch" else None))
+        max_total_cycles=max_total_cycles, lanes=lanes)
 
 
 def _register_run(store: ContentStore, fp: RunFingerprint,
@@ -134,36 +141,33 @@ def run_one(design: str, benchmark: str,
             use_constraints: bool = True,
             checkpoint=None,
             resume: bool = False,
-            workers: int = 1,
             frontier: str = "dfs",
             engine: Optional[str] = None,
             trace=None,
             progress: bool = False,
             budget=None,
-            quarantine=None,
             cache=None,
             lanes: Optional[int] = None) -> CoAnalysisResult:
     """One symbolic co-analysis run.
 
     ``strategy`` is the CSM merge strategy; ``frontier`` schedules the
     path frontier (``dfs``/``bfs``/``novelty``).  ``engine`` picks the
-    simulation backend (``serial``, ``event``, ``parallel`` or
-    ``batch``; default: serial, or parallel when ``workers > 1``) -- all
-    of them run through the same
+    simulation backend (``serial``, ``event`` or ``batch``; default:
+    serial) -- all of them run through the same
     :class:`~repro.coanalysis.kernel.ExplorationKernel`.  ``batch``
     simulates the whole frontier in lockstep on the bit-packed
     lane-parallel engine (``lanes`` paths per settle -- any multiple of
     64, default 64 -- one process, freed lanes refilled from the
-    frontier by compaction).
+    frontier by compaction).  Process-level parallelism lives one level
+    up, across pairs, in the job service's workers
+    (:mod:`repro.service`).
     ``checkpoint``/``resume`` journal the run to disk and continue an
     interrupted one (see :mod:`repro.resilience`); ``trace`` writes the
     structured event stream as JSONL and ``progress`` keeps a live
     status line.  ``budget`` is an optional
     :class:`~repro.resilience.governor.RunBudget` governing the run
     (deadline / RSS ceiling / frontier and segment caps -- a tripped
-    limit returns a :class:`~repro.coanalysis.results.PartialResult`);
-    ``quarantine`` is a poison-segment threshold (int) or
-    :class:`~repro.resilience.quarantine.QuarantineRegistry`.
+    limit returns a :class:`~repro.coanalysis.results.PartialResult`).
 
     ``cache`` is a directory (or :class:`~repro.store.ContentStore`)
     holding a content-addressed artifact store: settled segment results
@@ -172,20 +176,13 @@ def run_one(design: str, benchmark: str,
     segments instead of re-simulating them, and a ``run-<digest>``
     manifest records the run and its artifacts.
     """
-    if engine is None:
-        engine = "parallel" if workers > 1 else "serial"
+    engine = engine or "serial"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: "
                          + ", ".join(ENGINES))
     if lanes is not None and engine != "batch":
         raise ValueError("--lanes requires --engine batch")
-    workload = WORKLOADS[benchmark]
-    target = build_target(design, workload)
-    constraints = None
-    text = workload.constraints.get(design) if use_constraints else None
-    if text:
-        constraints = ConstraintSet(parse_constraints(text),
-                                    target.state_net_positions())
+    target, constraints = _pair_setup(design, benchmark, use_constraints)
     strategy = strategy or UberConservative()
     csm = ConservativeStateManager(strategy, constraints=constraints)
     tracer = _make_tracer(trace, progress)
@@ -198,38 +195,20 @@ def run_one(design: str, benchmark: str,
             design, benchmark, strategy, target, constraints,
             engine=engine, frontier=frontier,
             max_cycles_per_path=max_cycles_per_path,
-            # the parallel engine runs without a total-cycle budget
-            max_total_cycles=(None if engine == "parallel"
-                              else max_total_cycles),
-            # the lane width is part of the batch engine's identity: a
-            # warm cache at one width misses cleanly at another
-            lanes=((lanes or 64) if engine == "batch" else None))
+            max_total_cycles=max_total_cycles, lanes=lanes)
         segment_cache = SegmentResultCache(store, fp.digest)
 
-    if engine == "parallel":
-        from ..coanalysis.parallel import (ParallelCoAnalysis,
-                                           WorkloadTargetFactory)
-        runner = ParallelCoAnalysis(WorkloadTargetFactory(design, benchmark),
-                                    csm=csm, workers=max(1, workers),
-                                    max_cycles_per_path=max_cycles_per_path,
-                                    application=benchmark,
-                                    checkpoint=checkpoint, resume=resume,
-                                    frontier=frontier, tracer=tracer,
-                                    budget=budget, quarantine=quarantine,
-                                    segment_cache=segment_cache)
-    else:
-        runner = CoAnalysisEngine(target, csm=csm,
-                                  max_cycles_per_path=max_cycles_per_path,
-                                  max_total_cycles=max_total_cycles,
-                                  application=benchmark,
-                                  checkpoint=checkpoint, resume=resume,
-                                  frontier=frontier, tracer=tracer,
-                                  backend={"serial": "cycle",
-                                           "event": "event",
-                                           "batch": "batch"}[engine],
-                                  budget=budget, quarantine=quarantine,
-                                  segment_cache=segment_cache,
-                                  lanes=lanes)
+    runner = CoAnalysisEngine(target, csm=csm,
+                              max_cycles_per_path=max_cycles_per_path,
+                              max_total_cycles=max_total_cycles,
+                              application=benchmark,
+                              checkpoint=checkpoint, resume=resume,
+                              frontier=frontier, tracer=tracer,
+                              backend={"serial": "cycle",
+                                       "event": "event",
+                                       "batch": "batch"}[engine],
+                              budget=budget, segment_cache=segment_cache,
+                              lanes=lanes)
     result = runner.run()
     if store is not None:
         _register_run(store, fp, result, checkpoint, trace)
@@ -277,16 +256,8 @@ def run_grid(designs: Sequence[str] = tuple(DESIGN_ORDER),
             strategy = strategy_factory()
             name = None
             if store is not None:
-                workload = WORKLOADS[benchmark]
-                target = build_target(design, workload)
-                constraints = None
-                text = workload.constraints.get(design)
-                if text:
-                    constraints = ConstraintSet(
-                        parse_constraints(text),
-                        target.state_net_positions())
                 fp = _pair_fingerprint(design, benchmark, strategy,
-                                       target, constraints)
+                                       *_pair_setup(design, benchmark))
                 name = f"grid-{fp.digest}"
                 cached = _load_grid_entry(store, name)
                 if cached is not None:

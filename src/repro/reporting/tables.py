@@ -107,14 +107,13 @@ def results_csv(results: ResultGrid, benchmarks: Sequence[str],
 def resilience_table(results: Iterable) -> str:
     """Operational health of a set of runs, one row per result.
 
-    Surfaces the run-governor and fault-tolerance story an operator
-    needs after a long campaign: whether each run completed or stopped
-    early (and why), how many segments were quarantined, retried, or
-    survived a serial degradation, and how many checkpoints landed.
+    Surfaces the run-governor and checkpoint story an operator needs
+    after a long campaign: whether each run completed or stopped early
+    (and why), how many paths were left pending, how many checkpoints
+    landed, and whether the run continued an earlier one.
     """
     headers = ["Design", "Benchmark", "Complete", "Stop reason",
-               "Pending", "Quarantined", "Retries", "Degraded",
-               "Checkpoints", "Resumed"]
+               "Pending", "Checkpoints", "Resumed"]
     rows: List[List[object]] = []
     for r in results:
         checkpoints = sum(1 for e in r.journal if e.kind == "checkpoint")
@@ -123,9 +122,6 @@ def resilience_table(results: Iterable) -> str:
             "yes" if r.complete else "no",
             "-" if r.complete else getattr(r, "stop_reason", "?"),
             getattr(r, "pending_paths", 0),
-            r.quarantined_paths,
-            r.recovered_failures,
-            "yes" if r.degraded_to_serial else "no",
             checkpoints,
             "yes" if r.resumed else "no"])
     return render_table(headers, rows)

@@ -13,10 +13,9 @@ The payload schema is owned by this module too:
 :func:`encode_run_payload` / :func:`decode_run_payload` define the one
 versioned run-payload codec used by the
 :class:`~repro.coanalysis.kernel.ExplorationKernel` for every backend.
-``decode_run_payload`` transparently upgrades the two legacy payload
-shapes (the serial engine's ``stack`` payload and the parallel engine's
-``pending``/``profile`` payload) so journals written before the codec
-was unified still resume.
+``decode_run_payload`` transparently upgrades the legacy serial
+``stack`` payload so journals written before the codec was unified
+still resume.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ class Checkpointer:
         path: checkpoint file (created on first write; parent directory
             must exist or be creatable).
         every_segments: write at most once per this many completed
-            segments (serial engine) or waves (parallel engine).
+            kernel batches (one segment each on the serial engine, one
+            lockstep wave on the batch engine).
         every_seconds: additionally require this much wall time between
             writes (``None`` -> no time gate).
     """
@@ -160,18 +160,13 @@ def encode_run_payload(engine: str, design: str, application: str,
                        frontier: list, strategy: str, strategy_meta: dict,
                        csm: dict, activity: dict, counters: dict,
                        path_records: list, per_path_exercised: list,
-                       journal: list, quarantine: Optional[dict] = None
-                       ) -> dict:
+                       journal: list) -> dict:
     """Build the one v2 run payload every backend checkpoints through.
 
     ``frontier`` is a list of ``(state_bytes, forced_decision, depth,
     parent, origin_pc)`` tuples in re-push order; ``activity`` carries a
     ``"repr"`` key (``"sim"`` for live simulator planes, ``"profile"``
     for an accumulated toggle profile) beside the four boolean planes.
-    ``quarantine`` is an optional
-    :meth:`~repro.resilience.quarantine.QuarantineRegistry.snapshot_state`
-    dict so poison-segment verdicts survive a resume; payloads written
-    before the key existed decode with it absent (still codec v2).
     """
     return {
         "codec": RUN_PAYLOAD_CODEC,
@@ -187,24 +182,30 @@ def encode_run_payload(engine: str, design: str, application: str,
         "path_records": list(path_records),
         "per_path_exercised": list(per_path_exercised),
         "journal": list(journal),
-        "quarantine": quarantine,
     }
 
 
 def decode_run_payload(payload: dict) -> dict:
     """Normalise any supported payload shape to the v2 schema.
 
-    Legacy (pre-codec) payloads carried no ``"codec"`` key: the serial
-    engine stored the frontier as 4-tuples under ``"stack"`` with live
-    sim planes, the parallel engine as 2-tuples under ``"pending"``
-    with an accumulated profile.  Both upgrade losslessly.
+    Legacy (pre-codec) serial payloads carried no ``"codec"`` key and
+    stored the frontier as 4-tuples under ``"stack"`` with live sim
+    planes; they upgrade losslessly.  Any other pre-codec engine tag
+    (the retired wave-parallel pool's ``"parallel"``) decodes to a stub
+    the kernel rejects with :class:`ResumeMismatch`.
+
+    v2 payloads from builds that had poison-segment quarantine carry a
+    ``"quarantine"`` key and a ``quarantined_paths`` counter; both are
+    dropped, so those journals resume unchanged.
     """
     codec = payload.get("codec")
     if codec == RUN_PAYLOAD_CODEC:
         out = dict(payload)
         out.setdefault("per_path_exercised", [])
         out.setdefault("strategy_meta", {})
-        out.setdefault("quarantine", None)
+        out.pop("quarantine", None)
+        out["counters"] = {k: v for k, v in out["counters"].items()
+                           if k != "quarantined_paths"}
         return out
     if codec is not None:
         raise CheckpointError(
@@ -232,30 +233,6 @@ def decode_run_payload(payload: dict) -> dict:
             "counters": counters,
             "path_records": list(payload["path_records"]),
             "per_path_exercised": list(payload["per_path_exercised"]),
-            "journal": list(payload["journal"]),
-        }
-    if engine == "parallel":
-        counters = dict(payload["counters"])
-        counters.setdefault("batches_done", payload.get("waves_done", 0))
-        profile = payload["profile"]
-        return {
-            "codec": RUN_PAYLOAD_CODEC,
-            "engine": "parallel",
-            "design": payload["design"],
-            "application": payload["application"],
-            "frontier": [(blob, forced, 0, None, None)
-                         for blob, forced in payload["pending"]],
-            "strategy": "bfs",
-            "strategy_meta": {},
-            "csm": payload["csm"],
-            "activity": {"repr": "profile",
-                         "toggled": profile["toggled"],
-                         "ever_x": profile["ever_x"],
-                         "val": profile["const_val"],
-                         "known": profile["const_known"]},
-            "counters": counters,
-            "path_records": list(payload["path_records"]),
-            "per_path_exercised": [],
             "journal": list(payload["journal"]),
         }
     # unknown engine tag: hand back just enough for the kernel to raise

@@ -31,10 +31,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-#: machine-readable stop reasons a governed run can end with (open set;
-#: ``"wave_budget"`` is produced by the kernel's ``stop_after_batches``)
+#: machine-readable stop reasons a governed run can end with (open set)
 STOP_REASONS = ("deadline", "memory", "frontier", "segments",
-                "interrupted", "wave_budget")
+                "interrupted")
 
 
 def current_rss_mb() -> float:
@@ -68,8 +67,8 @@ class RunBudget:
 
     Every limit is optional; ``None`` disables that check.  The budget
     is evaluated cooperatively at segment/wave boundaries, so a single
-    very long segment can overshoot -- budgets bound the *run*, the
-    per-segment ``SupervisionPolicy.segment_timeout`` bounds segments.
+    very long segment can overshoot: budgets bound the *run*, and the
+    per-path cycle budget bounds each segment.
     """
 
     deadline_seconds: Optional[float] = None

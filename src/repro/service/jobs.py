@@ -91,7 +91,6 @@ class JobSpec:
     engine: str = "serial"
     frontier: str = "dfs"
     lanes: Optional[int] = None
-    workers: int = 1
     use_constraints: bool = True
     # -- per-job RunBudget quotas ------------------------------------------
     deadline_seconds: Optional[float] = None
@@ -114,6 +113,15 @@ class JobSpec:
         if not isinstance(raw, dict):
             raise JobSpecError(f"spec must be a JSON object, "
                                f"not {type(raw).__name__}")
+        raw = dict(raw)
+        # manifests written while the wave-parallel pool engine existed
+        # carry ``"workers": 1``; only a pool request is unrunnable
+        workers = raw.pop("workers", 1)
+        if workers not in (None, 1):
+            raise JobSpecError(
+                f"workers={workers!r} selects the parallel pool engine, "
+                f"which was removed; the service runs jobs in parallel "
+                f"across its own workers")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -124,14 +132,11 @@ class JobSpec:
         if missing:
             raise JobSpecError(f"missing required spec field(s): "
                                f"{', '.join(missing)}")
-        data = dict(raw)
         # resolve run_one's engine default here so equal submissions
         # fingerprint equally no matter how they spelled the default
-        if data.get("engine") in (None, ""):
-            data["engine"] = ("parallel"
-                              if int(data.get("workers") or 1) > 1
-                              else "serial")
-        spec = cls(**data)
+        if raw.get("engine") in (None, ""):
+            raw["engine"] = "serial"
+        spec = cls(**raw)
         spec.validate()
         return spec
 
@@ -156,8 +161,6 @@ class JobSpec:
             if self.lanes <= 0 or self.lanes % 64:
                 raise JobSpecError(f"lanes must be a positive multiple "
                                    f"of 64, got {self.lanes}")
-        if self.workers < 1:
-            raise JobSpecError("workers must be >= 1")
         for name in ("deadline_seconds", "max_rss_mb", "max_frontier",
                      "max_segments", "shard_segments"):
             value = getattr(self, name)

@@ -29,8 +29,7 @@ from typing import Dict, Optional
 
 from .content import ContentStore, StoreError
 
-#: segment outcomes worth memoizing.  ``quarantined`` is excluded: no
-#: simulation happened, and the quarantine registry owns that verdict.
+#: segment outcomes worth memoizing: the ones a simulated segment ends with
 _CACHEABLE = ("done", "halt", "budget")
 
 

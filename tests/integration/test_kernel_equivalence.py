@@ -1,12 +1,12 @@
-"""Integration: all three executors agree through the shared kernel.
+"""Integration: every executor agrees through the shared kernel.
 
 The exercisable/unexercisable gate dichotomy is the analysis *product*;
 Algorithm 1's soundness argument does not depend on the order paths are
 simulated or on which simulation backend runs each segment.  This test
 drives the same tiny bm32 workload -- one symbolic input, one
 data-dependent branch -- through the serial cycle executor, the
-event-driven executor, the wave-parallel pool and the lane-parallel
-batched engine, under every frontier strategy, and requires the
+event-driven executor and the lane-parallel batched engine (at 64, 128
+and 256 lanes), under every frontier strategy, and requires the
 dichotomy to come out identical.
 """
 
@@ -14,7 +14,6 @@ import pytest
 
 from repro.coanalysis.engine import CoAnalysisEngine
 from repro.coanalysis.frontier import FRONTIER_STRATEGIES
-from repro.coanalysis.parallel import ParallelCoAnalysis
 from repro.isa import ASSEMBLERS
 from repro.processors import CoreTarget
 from repro.workloads import INPUT_BASE, built_core
@@ -45,18 +44,7 @@ def tiny_target() -> CoreTarget:
                       symbolic_ranges=[(INPUT_BASE, INPUT_BASE + 1)])
 
 
-class TinyTargetFactory:
-    """Picklable zero-arg factory for the worker pool (spawn start)."""
-
-    def __call__(self) -> CoreTarget:
-        return tiny_target()
-
-
 def run_engine(engine_name: str, frontier: str, **kw):
-    if engine_name == "parallel":
-        return ParallelCoAnalysis(TinyTargetFactory(), workers=2,
-                                  application="tiny",
-                                  frontier=frontier, **kw).run()
     if engine_name.startswith("batch"):
         # "batch128" / "batch256" are lane-width legs of the batch engine
         backend = "batch"
@@ -81,8 +69,8 @@ def test_serial_explores_the_branch(serial_dfs):
     assert 0 < len(gates) < serial_dfs.total_gates
 
 
-@pytest.mark.parametrize("engine_name", ["serial", "event", "parallel",
-                                         "batch", "batch128", "batch256"])
+@pytest.mark.parametrize("engine_name", ["serial", "event", "batch",
+                                         "batch128", "batch256"])
 @pytest.mark.parametrize("frontier", sorted(FRONTIER_STRATEGIES))
 def test_dichotomy_engine_and_order_invariant(engine_name, frontier,
                                               serial_dfs):
@@ -96,7 +84,7 @@ def test_dichotomy_engine_and_order_invariant(engine_name, frontier,
     assert result.paths_skipped <= result.paths_created
 
 
-@pytest.mark.parametrize("engine_name", ["serial", "event", "parallel", "batch"])
+@pytest.mark.parametrize("engine_name", ["serial", "event", "batch"])
 @pytest.mark.parametrize("frontier", sorted(FRONTIER_STRATEGIES))
 def test_governed_stop_then_resume_is_equivalent(engine_name, frontier,
                                                  serial_dfs, tmp_path):

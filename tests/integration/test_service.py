@@ -12,10 +12,11 @@ import time
 
 import pytest
 
-from repro.reporting.runner import run_one
+from repro.reporting.runner import pair_fingerprint, run_one
 from repro.service import (Scheduler, SchedulerConfig, ServiceAPI,
                            ServiceClient, ServiceError)
-from repro.service.jobs import JobSpecError
+from repro.service.jobs import Job, JobSpec, JobSpecError
+from repro.store import ContentStore
 
 pytestmark = pytest.mark.timeout(600)
 
@@ -74,6 +75,42 @@ def test_restart_recovery_serves_done_from_store(tmp_path):
         dup = fresh.submit({"design": "dr5", "benchmark": "mult"})
         assert dup.state == "DONE" and dup.cache_hit
         assert fresh.counters["executed"] == 0
+
+
+def test_store_with_legacy_workers_key_recovers(tmp_path, direct_result):
+    """A store whose job manifests carry the retired ``"workers": 1``
+    spec key still serves its DONE jobs by fingerprint after
+    ``recover()``, and its QUEUED jobs still run; a pool job
+    (``workers > 1``) is skipped instead of breaking recovery."""
+    root = tmp_path / "store"
+    with Scheduler(root, SchedulerConfig(workers=1)) as sched:
+        done = sched.submit({"design": "dr5", "benchmark": "mult"})
+        sched.wait(done.job_id, timeout=300)
+    content = ContentStore(root)
+    manifest = content.get_manifest(f"job-{done.job_id}")
+    manifest["spec"]["workers"] = 1
+    content.put_manifest(f"job-{done.job_id}", manifest)
+    spec = JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
+                              "frontier": "bfs"})
+    queued = Job.new(spec, pair_fingerprint("dr5", "mult",
+                                            frontier="bfs").digest)
+    pool = Job.new(spec, queued.fingerprint)
+    for job, workers in ((queued, 1), (pool, 2)):
+        manifest = job.to_manifest()
+        manifest["spec"]["workers"] = workers
+        content.put_manifest(f"job-{job.job_id}", manifest)
+
+    with Scheduler(root, SchedulerConfig(workers=1)) as fresh:
+        assert pool.job_id not in {j.job_id for j in fresh.list_jobs()}
+        dup = fresh.submit({"design": "dr5", "benchmark": "mult"})
+        assert dup.state == "DONE" and dup.cache_hit
+        assert dup.coalesced_into == done.job_id
+        ran = fresh.wait(queued.job_id, timeout=300)
+        assert ran.state == "DONE"
+        assert fresh.counters["executed"] == 1
+        result = fresh.job_store.load_result(ran)
+        assert result.profile.exercisable_gates() == \
+            direct_result.profile.exercisable_gates()
 
 
 def test_sharded_run_converges(tmp_path, direct_result):

@@ -148,18 +148,25 @@ class TestRunPayloadCodec:
         assert decode_run_payload(payload) == payload
 
     def test_v2_payload_without_quarantine_key_upgrades(self):
-        # v2 payloads written before the quarantine key existed
+        # v2 payloads written before the quarantine key existed decode
+        # unchanged, exactly like the ones written after it was retired
         from repro.resilience.checkpoint import decode_run_payload
         payload = self._v2()
-        del payload["quarantine"]
-        assert decode_run_payload(payload)["quarantine"] is None
+        assert "quarantine" not in payload
+        assert decode_run_payload(payload) == payload
 
-    def test_quarantine_snapshot_rides_the_payload(self):
+    def test_quarantine_snapshot_is_dropped_on_decode(self):
+        # v2 payloads from builds with poison-segment quarantine carry
+        # the registry and a counter the result no longer has
         from repro.resilience.checkpoint import decode_run_payload
         snap = {"threshold": 2, "records": [{"key": "k", "failures": 2,
                                             "quarantined": True}]}
-        payload = self._v2(quarantine=snap)
-        assert decode_run_payload(payload)["quarantine"] == snap
+        payload = self._v2(quarantine=snap,
+                           counters={"paths_created": 3, "batches_done": 1,
+                                     "quarantined_paths": 1})
+        out = decode_run_payload(payload)
+        assert "quarantine" not in out
+        assert out["counters"] == {"paths_created": 3, "batches_done": 1}
 
     def test_unsupported_codec_raises(self):
         from repro.resilience.checkpoint import decode_run_payload
@@ -184,10 +191,15 @@ class TestRunPayloadCodec:
         # pre-codec serial runs checkpointed once per segment
         assert out["counters"]["batches_done"] == 2
 
-    def test_legacy_parallel_payload_upgrades(self):
+    def test_legacy_parallel_payload_is_a_resume_mismatch(self, tmp_path):
+        # the retired wave-parallel pool's pre-codec journal decodes to
+        # the unknown-tag stub, which the kernel rejects on resume
+        from repro.coanalysis.engine import CoAnalysisEngine
+        from repro.coanalysis.results import ResumeMismatch
         from repro.resilience.checkpoint import decode_run_payload
+        from repro.workloads import WORKLOADS, build_target
         legacy = {
-            "engine": "parallel", "design": "d", "application": "a",
+            "engine": "parallel", "design": "dr5", "application": "mult",
             "pending": [(b"blob", 0)],
             "waves_done": 4,
             "csm": {"repo": []},
@@ -196,11 +208,11 @@ class TestRunPayloadCodec:
             "counters": {"paths_created": 9},
             "path_records": [], "journal": [],
         }
-        out = decode_run_payload(legacy)
-        assert out["frontier"] == [(b"blob", 0, 0, None, None)]
-        assert out["strategy"] == "bfs"
-        assert out["activity"] == {"repr": "profile",
-                                   "toggled": [True], "ever_x": [False],
-                                   "val": [False], "known": [True]}
-        assert out["counters"]["batches_done"] == 4
-        assert out["per_path_exercised"] == []
+        assert decode_run_payload(legacy)["engine"] == "parallel"
+        path = tmp_path / "pool.ckpt"
+        Checkpointer(path).write(legacy)
+        engine = CoAnalysisEngine(build_target("dr5", WORKLOADS["mult"]),
+                                  application="mult", checkpoint=str(path),
+                                  resume=True)
+        with pytest.raises(ResumeMismatch, match="'parallel' engine"):
+            engine.run()

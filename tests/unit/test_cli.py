@@ -66,10 +66,21 @@ class TestParser:
     def test_analyze_resilience_args(self):
         args = build_parser().parse_args(
             ["analyze", "dr5", "mult", "--checkpoint", "run.ckpt",
-             "--resume", "--workers", "4"])
+             "--resume"])
         assert args.checkpoint == "run.ckpt"
         assert args.resume
-        assert args.workers == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "dr5", "mult", "--engine", "parallel"],
+        ["run", "dr5", "mult", "--workers", "2"],
+        ["run", "dr5", "mult", "--quarantine-after", "3"],
+        ["submit", "dr5", "mult", "--engine", "parallel"],
+        ["submit", "dr5", "mult", "--workers", "2"],
+    ])
+    def test_pool_engine_options_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit):

@@ -53,9 +53,19 @@ def test_spec_engine_default_mirrors_run_one():
     # submissions fingerprint equally however they spell the default
     assert JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
                               "engine": None}).engine == "serial"
-    assert JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
-                              "engine": None,
-                              "workers": 4}).engine == "parallel"
+    # the pool engine that ``workers > 1`` used to select is gone
+    with pytest.raises(JobSpecError, match="parallel pool engine"):
+        JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
+                           "engine": None, "workers": 4})
+
+
+def test_spec_accepts_legacy_workers_key():
+    # job manifests written while the spec had a ``workers`` field
+    # store ``"workers": 1``; they load as the same spec
+    legacy = JobSpec.from_dict({"design": "dr5", "benchmark": "mult",
+                                "workers": 1})
+    assert legacy == make_spec()
+    assert "workers" not in legacy.to_dict()
 
 
 def test_spec_lanes_requires_batch_engine():
