@@ -25,6 +25,7 @@ import numpy as np
 from ..logic.value import Logic
 from ..logic.vector import LVec
 from ..sim.cycle_sim import ForcedRestoreWarning, compile_netlist
+from ..sim.planes import lvec_to_planes, planes_to_lvec
 from ..sim.state import SimState
 from .backend import (PendingPath, SegmentResult, SimBackend,
                       prepare_initial_state, simulate_segment)
@@ -189,6 +190,14 @@ class EventSimBridge:
 
     def get_bus(self, nets) -> LVec:
         return LVec([self.es.get_logic(n) for n in nets])
+
+    def read_bus(self, nets):
+        """``(val, known)`` rows of ``nets`` (the harness's plane port)."""
+        return lvec_to_planes(self.get_bus(nets))
+
+    def write_bus(self, nets, val, known) -> None:
+        """Drive ``nets`` from ``(val, known)`` rows, bit by bit."""
+        self.set_bus(nets, planes_to_lvec(val, known))
 
     def set_input(self, name: str, value) -> None:
         nl = self.netlist

@@ -19,6 +19,7 @@ from typing import List, Optional
 from ..logic.value import Logic
 from ..netlist.netlist import Netlist
 from ..sim.cycle_sim import CompiledNetlist, CycleSim, compile_netlist
+from ..sim.planes import bits_to_int
 
 
 class SymbolicTarget:
@@ -95,7 +96,8 @@ class SymbolicTarget:
         """Concrete PC value, or None when the PC contains Xs."""
         if not self.pc_nets:
             return None
-        return sim.get_bus(self.pc_nets).to_int_or(None)  # type: ignore[arg-type]
+        val, known = sim.read_bus(self.pc_nets)
+        return bits_to_int(val) if known.all() else None
 
     def at_branch_point(self, sim: CycleSim) -> Logic:
         """Settled value of the branch-point qualifier."""
@@ -105,7 +107,7 @@ class SymbolicTarget:
 
     def monitored_has_x(self, sim: CycleSim) -> bool:
         """``$monitor_x`` condition over the control-flow signal list."""
-        return any(not sim.get_net(n).is_known for n in self.monitored_nets)
+        return not sim.read_bus(self.monitored_nets)[1].all()
 
     def is_done(self, sim: CycleSim) -> bool:
         """Program-termination condition (e.g. PC parked at a halt loop)."""

@@ -96,9 +96,13 @@ class TraceSink:
 class JsonlTraceSink(TraceSink):
     """Appends one JSON object per event to ``path`` (JSON Lines).
 
-    ``mode="a"`` continues an existing file instead of truncating it --
-    a resumed (or re-sharded) run then leaves one trace whose ``resume``
-    events mark each attempt boundary.
+    Each event is written as one whole line and flushed at once, so a
+    process killed at any point (SIGKILL, ``os._exit``) leaves every
+    event emitted before it on disk.  ``mode="a"`` continues an existing
+    file instead of truncating it -- a resumed (or re-sharded) run then
+    leaves one trace whose ``resume`` events mark each attempt boundary
+    -- after cutting a trailing partial line a killed writer may have
+    left, so the appended events start on a line of their own.
     """
 
     def __init__(self, path, mode: str = "w"):
@@ -108,20 +112,39 @@ class JsonlTraceSink(TraceSink):
                              f"not {mode!r}")
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if mode == "a" and self.path.exists():
+            _truncate_partial_line(self.path)
         self._fh: Optional[IO[str]] = open(self.path, mode)
 
     def emit(self, event: TraceEvent) -> None:
         if self._fh is None:
             return
-        self._fh.write(json.dumps(event.to_json(),
-                                  separators=(",", ":"), default=str))
-        self._fh.write("\n")
+        self._fh.write(json.dumps(event.to_json(), separators=(",", ":"),
+                                  default=str) + "\n")
+        self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.flush()
             self._fh.close()
             self._fh = None
+
+
+def _truncate_partial_line(path) -> None:
+    """Cut ``path`` back to just after its last newline."""
+    with open(path, "r+b") as fh:
+        end = pos = fh.seek(0, 2)
+        keep = 0
+        while pos > 0:
+            step = min(4096, pos)
+            pos -= step
+            fh.seek(pos)
+            newline = fh.read(step).rfind(b"\n")
+            if newline >= 0:
+                keep = pos + newline + 1
+                break
+        if keep != end:
+            fh.truncate(keep)
 
 
 def read_trace(path) -> List[TraceEvent]:

@@ -3,13 +3,16 @@
 Both simulation engines and the re-synthesis constant folder evaluate
 primitive cells through these tables so that semantics are defined exactly
 once.  Evaluators take a sequence of input :class:`Logic` levels (in the
-cell's declared pin order) and return the output level.
+cell's declared pin order) and return the output level;
+:func:`kleene_lut` tabulates them over 3-valued codes for the vectorized
+cycle engine.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
+from ..netlist.cells import kind as cell_kind
 from .value import (Logic, l_buf, l_mux, l_not, reduce_and, reduce_or,
                     reduce_xor)
 
@@ -85,3 +88,28 @@ def evaluate(kind: str, inputs: Sequence[Logic]) -> Logic:
         raise KeyError(f"no combinational evaluator for cell kind {kind!r}") \
             from None
     return fn(inputs)
+
+
+#: combinational kinds :func:`kleene_lut` tabulates, in row-block order
+LUT_KINDS = ("BUF", "NOT", "AND", "NAND", "OR", "NOR",
+             "XOR", "XNOR", "MUX2")
+
+#: the 3-valued codes of :func:`kleene_lut`, by code: 0 = X, 1 = 0, 2 = 1
+CODES = (Logic.X, Logic.L0, Logic.L1)
+
+
+def kleene_lut() -> bytes:
+    """Every :data:`LUT_KINDS` cell over every 3-valued input code.
+
+    Byte ``kind*27 + a + 3b + 9s`` is the output code for input codes
+    ``a``, ``b``, ``s`` in pin order (pins past a cell's arity are
+    ignored); a ``Z`` output collapses to ``X``.
+    """
+    lut = bytearray()
+    for kind in LUT_KINDS:
+        arity = cell_kind(kind).arity
+        for code in range(27):
+            out = evaluate(kind, [CODES[code // 3 ** p % 3]
+                                  for p in range(arity)])
+            lut.append(CODES.index(out) if out.is_known else 0)
+    return bytes(lut)

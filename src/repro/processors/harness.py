@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..coanalysis.target import SymbolicTarget
 from ..isa.asm import Program
 from ..logic.value import Logic
@@ -51,11 +53,16 @@ class CoreTarget(SymbolicTarget):
 
         nl = netlist
         self.pc_nets = nl.bus(meta.pc_port, meta.pc_width)
-        self._pmem_addr = nl.bus(meta.pmem_addr_port, meta.pc_width)
-        self._pmem_data = nl.bus(meta.pmem_data_port, meta.word_width)
-        self._dmem_addr = nl.bus(meta.dmem_addr_port, meta.dmem_addr_width)
-        self._dmem_rdata = nl.bus(meta.dmem_rdata_port, meta.word_width)
-        self._dmem_wdata = nl.bus(meta.dmem_wdata_port, meta.word_width)
+        # memory-port buses as index arrays: the per-cycle services move
+        # them as (val, known) rows through read_bus/write_bus
+        def port(name: str, width: int) -> np.ndarray:
+            return np.array(nl.bus(name, width), dtype=np.int64)
+
+        self._pmem_addr = port(meta.pmem_addr_port, meta.pc_width)
+        self._pmem_data = port(meta.pmem_data_port, meta.word_width)
+        self._dmem_addr = port(meta.dmem_addr_port, meta.dmem_addr_width)
+        self._dmem_rdata = port(meta.dmem_rdata_port, meta.word_width)
+        self._dmem_wdata = port(meta.dmem_wdata_port, meta.word_width)
         self._dmem_we = nl.net_index(meta.dmem_we_port)
         self.monitored_nets = [nl.net_index(n)
                                for n in meta.monitored_net_names()
@@ -102,19 +109,19 @@ class CoreTarget(SymbolicTarget):
             dmem.load_word(addr, value)
 
     def drive(self, sim: CycleSim) -> None:
-        sim.set_bus(self._pmem_data,
-                    self.rom.read(sim.get_bus(self._pmem_addr)))
+        sim.write_bus(self._pmem_data,
+                      *self.rom.read(sim.read_bus(self._pmem_addr)))
         dmem = sim.memories[DMEM_NAME]
-        sim.set_bus(self._dmem_rdata,
-                    dmem.read(sim.get_bus(self._dmem_addr)))
+        sim.write_bus(self._dmem_rdata,
+                      *dmem.read(sim.read_bus(self._dmem_addr)))
 
     def on_edge(self, sim: CycleSim) -> None:
         we = sim.get_net(self._dmem_we)
         if we is Logic.L0:
             return
         dmem = sim.memories[DMEM_NAME]
-        dmem.write(sim.get_bus(self._dmem_addr),
-                   sim.get_bus(self._dmem_wdata), enable=we)
+        dmem.write(sim.read_bus(self._dmem_addr),
+                   sim.read_bus(self._dmem_wdata), enable=we)
 
     def is_done(self, sim: CycleSim) -> bool:
         if self._halt_pc is None:

@@ -2,12 +2,12 @@
 
 from .figures import figure5, figure6
 from .runner import (DESIGN_ORDER, default_cache_dir, run_grid, run_one)
-from .tables import (equivalence_table, render_table, resilience_table,
-                     results_csv, table1, table2, table3, table4)
+from .tables import (equivalence_table, render_table, results_csv, table1,
+                     table2, table3, table4)
 
 __all__ = [
     "figure5", "figure6",
     "run_grid", "run_one", "DESIGN_ORDER", "default_cache_dir",
     "render_table", "table1", "table2", "table3", "table4", "results_csv",
-    "equivalence_table", "resilience_table",
+    "equivalence_table",
 ]

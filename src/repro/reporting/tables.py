@@ -104,29 +104,6 @@ def results_csv(results: ResultGrid, benchmarks: Sequence[str],
     return "\n".join(lines)
 
 
-def resilience_table(results: Iterable) -> str:
-    """Operational health of a set of runs, one row per result.
-
-    Surfaces the run-governor and checkpoint story an operator needs
-    after a long campaign: whether each run completed or stopped early
-    (and why), how many paths were left pending, how many checkpoints
-    landed, and whether the run continued an earlier one.
-    """
-    headers = ["Design", "Benchmark", "Complete", "Stop reason",
-               "Pending", "Checkpoints", "Resumed"]
-    rows: List[List[object]] = []
-    for r in results:
-        checkpoints = sum(1 for e in r.journal if e.kind == "checkpoint")
-        rows.append([
-            r.design, r.application,
-            "yes" if r.complete else "no",
-            "-" if r.complete else getattr(r, "stop_reason", "?"),
-            getattr(r, "pending_paths", 0),
-            checkpoints,
-            "yes" if r.resumed else "no"])
-    return render_table(headers, rows)
-
-
 def equivalence_table(outcomes: Iterable) -> str:
     """Formal equivalence results, one row per miter check.
 

@@ -1,43 +1,38 @@
 """Fused numpy kernels compiled from a :class:`CompiledNetlist` schedule.
 
-The serial engine interprets the levelized schedule: one Python-level
-dispatch per ``(level, kind)`` group, with the gate semantics chosen by
-a chain of ``if kind == ...`` tests on every settle.  For the batched
-engine that per-group interpretation overhead is the bottleneck -- the
-arrays themselves are small (one word per net) and the work per numpy
-op is tiny, so the Python dispatch around each op dominates.
-
-This module removes the interpreter: it *generates Python source* for
-the whole schedule once per compiled netlist and ``exec``\\ s it with the
-group index arrays bound in the namespace, yielding
+The serial engine evaluates a level through a lookup table over bool
+planes; the batched engine's planes are bit-packed ``uint64`` words,
+one bit per lane, where a table lookup does not apply.  For them the
+Python dispatch around each small numpy op would dominate, so this
+module *generates Python source* for the whole schedule once per
+compiled netlist and ``exec``\\ s it with the group index arrays bound
+in the namespace, yielding
 
 * ``sweep(val, known)`` -- the entire combinational schedule as one
   fused function (the no-forces full-settle fast path);
-* ``levels`` -- ``[(level, fn), ...]`` with one fused function per
-  topological level (the full-settle path when forces must be
-  re-asserted between levels);
-* ``groups`` -- one function per schedule group returning fresh
-  ``(val, known)`` planes for its outputs without storing (the
-  incremental dirty-cone path needs the old planes for change
-  detection).
+* ``levels`` -- one fused function per topological level, indexed by
+  level rank (``CompiledNetlist.level_out`` lists what each stores):
+  the full-settle path when forces must be re-asserted between levels,
+  and the incremental dirty-cone path.
 
 Every generated expression is *pure bitwise algebra* -- ``& | ^ ~`` only,
-never ``==`` or boolean ``where`` -- so the same kernels evaluate both
-the serial engine's bool planes and the batched engine's bit-packed
-``uint64`` planes (one bit per lane, 64 independent simulations per
-word).  Equivalence with the interpreted evaluators is pinned by the
+never ``==`` or boolean ``where`` -- so the kernels evaluate bool planes
+and bit-packed ``uint64`` planes (one bit per lane, 64 independent
+simulations per word) alike.  Equivalence with the serial engine's
+table, and through it with :mod:`repro.logic.tables`, is pinned by the
 batch/serial parity tests.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 from .cycle_sim import CompiledNetlist
 
 #: gate kinds the generator knows; kept in sync with
-#: CycleSim._compute_group (the interpreted reference semantics)
+#: repro.logic.tables.LUT_KINDS, the kinds its kleene_lut tabulates from
+#: the reference semantics for the serial engine's level LUT
 SUPPORTED_KINDS = ("BUF", "NOT", "AND", "NAND", "OR", "NOR",
                    "XOR", "XNOR", "MUX2")
 
@@ -98,17 +93,14 @@ def _stored_lines(gid: int, kind: str) -> List[str]:
 class BatchKernels:
     """The compiled kernel set for one :class:`CompiledNetlist`."""
 
-    __slots__ = ("sweep", "levels", "groups", "source")
+    __slots__ = ("sweep", "levels", "source")
 
-    def __init__(self, sweep: Callable, levels: List[Tuple[int, Callable]],
-                 groups: List[Callable], source: str):
+    def __init__(self, sweep: Callable, levels: List[Callable],
+                 source: str):
         #: fused function evaluating the whole comb schedule in order
         self.sweep = sweep
-        #: ``(level, fn)`` pairs, one fused function per topological level
+        #: one fused function per topological level, by level rank
         self.levels = levels
-        #: per-group functions returning ``(vv, kk)`` without storing,
-        #: aligned with ``compiled.schedule``
-        self.groups = groups
         #: the generated source, kept for debuggability
         self.source = source
 
@@ -137,18 +129,14 @@ def build_kernels(compiled: CompiledNetlist,
         for stmt in (body or ["pass"]):
             lines.append("    " + stmt)
 
-    for gi, grp in enumerate(compiled.schedule):
-        emit(f"def group{gi}(val, known):",
-             _group_lines(gi, grp.kind) + ["return vv, kk"])
-
     by_level: dict = {}
     for gi, grp in enumerate(compiled.schedule):
         by_level.setdefault(grp.level, []).append(gi)
-    for lvl in sorted(by_level):
+    for rank, lvl in enumerate(sorted(by_level)):
         body: List[str] = []
         for gi in by_level[lvl]:
             body.extend(_stored_lines(gi, compiled.schedule[gi].kind))
-        emit(f"def level{lvl}(val, known):", body)
+        emit(f"def level{rank}(val, known):", body)
 
     sweep_body: List[str] = []
     for gi, grp in enumerate(compiled.schedule):
@@ -159,8 +147,7 @@ def build_kernels(compiled: CompiledNetlist,
     exec(compile(source, f"<batch-kernels-w{n_words}>", "exec"), ns)
     return BatchKernels(
         sweep=ns["sweep"],
-        levels=[(lvl, ns[f"level{lvl}"]) for lvl in sorted(by_level)],
-        groups=[ns[f"group{gi}"] for gi in range(len(compiled.schedule))],
+        levels=[ns[f"level{rank}"] for rank in range(len(by_level))],
         source=source)
 
 

@@ -51,7 +51,7 @@ from .batch_kernels import batch_kernels_for
 from .cycle_sim import CompiledNetlist, ForcedRestoreWarning
 from .memory import XMemory
 from .planes import (LANE_WORD, M64, LanePlanes, column_bits, lane_word_bit,
-                     words_to_int)
+                     lvec_to_planes, planes_to_lvec, words_to_int)
 from .state import SimState
 
 #: default lane capacity (one plane word); pass ``lanes=128/256/...``
@@ -121,7 +121,8 @@ class BatchCycleSim:
         self._dirty_limit = max(1, int(incremental_threshold * n))
         #: per-lane dirty masks: net -> bitmask of lanes that changed it
         self._dirty: Dict[int, int] = {}
-        self._dirty_groups: set = set()
+        #: levels whose own gates must re-evaluate, as a bit mask
+        self._dirty_levels = 0
         self._needs_full = True
         self.full_settles = 0
         self.incremental_settles = 0
@@ -257,11 +258,9 @@ class BatchCycleSim:
     # -- dirty tracking -------------------------------------------------------
     def _mark_dirty(self, net: int, lane_bits: int) -> None:
         self._dirty[net] = self._dirty.get(net, 0) | lane_bits
-        drv = self.c.driver[net]
-        if drv >= 0:
-            grp = self.c.gate_group[drv]
-            if grp >= 0:
-                self._dirty_groups.add(int(grp))
+        lvl = self.c.net_level[net]
+        if lvl >= 0:
+            self._dirty_levels |= 1 << int(lvl)
 
     def mark_all_dirty(self) -> None:
         """Invalidate incremental state: the next settle is a full sweep."""
@@ -326,12 +325,12 @@ class BatchCycleSim:
 
     def _reassert_driver(self, net: int, lane_bit: int) -> None:
         """After a release the net's driver owns the lane's bit again."""
+        lvl = self.c.net_level[net]
+        if lvl >= 0:
+            self._dirty_levels |= 1 << int(lvl)
+            return
         drv = self.c.driver[net]
         if drv < 0:
-            return
-        grp = self.c.gate_group[drv]
-        if grp >= 0:
-            self._dirty_groups.add(int(grp))
             return
         kind = self.c.netlist.gates[drv].kind
         if kind in ("TIE0", "TIE1"):
@@ -371,11 +370,12 @@ class BatchCycleSim:
             self.val[nets] = (self.val[nets] & ~masks) | vbits
             self.known[nets] = (self.known[nets] & ~masks) | kbits
 
-    def _force_levels(self):
-        if not self._forces:
-            return ()
-        levels = {int(self.c.net_comb_level[n]) for n in self._forces}
-        levels.discard(-1)
+    def _force_levels(self) -> int:
+        """Bit mask of the levels driving a forced net."""
+        levels = 0
+        for lvl in self.c.net_level[list(self._forces)].tolist():
+            if lvl >= 0:
+                levels |= 1 << lvl
         return levels
 
     # -- settling ------------------------------------------------------------
@@ -385,7 +385,7 @@ class BatchCycleSim:
                 len(self._dirty) > self._dirty_limit:
             self._settle_full()
             return
-        if not self._dirty and not self._dirty_groups:
+        if not self._dirty and not self._dirty_levels:
             self.noop_settles += 1
             return
         self._settle_incremental()
@@ -394,15 +394,15 @@ class BatchCycleSim:
         self._apply_forces()
         if self._forces:
             force_levels = self._force_levels()
-            for level, kernel in self.kernels.levels:
+            for lvl, kernel in enumerate(self.kernels.levels):
                 kernel(self.val, self.known)
-                if level in force_levels:
+                if force_levels >> lvl & 1:
                     self._apply_forces()
         else:
             # the fused whole-schedule kernel: no per-level dispatch
             self.kernels.sweep(self.val, self.known)
         self._dirty.clear()
-        self._dirty_groups.clear()
+        self._dirty_levels = 0
         self._needs_full = False
         self.full_settles += 1
 
@@ -410,41 +410,32 @@ class BatchCycleSim:
         c = self.c
         val, known = self.val, self.known
         active = self.planes.mask_words(self.active_mask)
-        affected = np.zeros(c.n_groups, dtype=bool)
-        ptr, fanout = c.fanout_ptr, c.fanout_groups
-        # the union over per-lane dirty masks picks the groups: one
-        # packed evaluation covers every lane, so a group is either
+        fanout, outs = c.fanout_levels, c.level_out
+        # the union over per-lane dirty masks picks the levels: one
+        # packed evaluation covers every lane, so a level is either
         # re-run for all lanes or for none
+        pending = self._dirty_levels
         for net in self._dirty:
-            start, end = ptr[net], ptr[net + 1]
-            if start != end:
-                affected[fanout[start:end]] = True
-        for grp in self._dirty_groups:
-            affected[grp] = True
+            pending |= fanout[net]
         self._apply_forces()
-        force_levels = self._force_levels()
-        group_kernels = self.kernels.groups
-        for gi, grp in enumerate(c.schedule):
-            if not affected[gi]:
-                continue
-            out = grp.out
+        force_levels = self._force_levels() if self._forces else 0
+        kernels = self.kernels.levels
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            lvl = low.bit_length() - 1
+            out = outs[lvl]
             old_v, old_k = val[out], known[out]   # fancy index == copy
-            new_v, new_k = group_kernels[gi](val, known)
-            val[out] = new_v
-            known[out] = new_k
-            if grp.level in force_levels:
+            kernels[lvl](val, known)
+            if low & force_levels:
                 self._apply_forces()
-                new_v, new_k = val[out], known[out]
             # per-lane change detection: only live lanes propagate
-            changed = ((new_v ^ old_v) | (new_k ^ old_k)) & active
+            changed = ((val[out] ^ old_v) | (known[out] ^ old_k)) & active
             if changed.any():
-                for pos in np.nonzero(changed.any(axis=1))[0]:
-                    net = int(out[pos])
-                    start, end = ptr[net], ptr[net + 1]
-                    if start != end:
-                        affected[fanout[start:end]] = True
+                for net in out[changed.any(axis=1)].tolist():
+                    pending |= fanout[net]
         self._dirty.clear()
-        self._dirty_groups.clear()
+        self._dirty_levels = 0
         self.incremental_settles += 1
 
     def clock_edge(self) -> None:
@@ -654,6 +645,15 @@ class LaneView:
 
     def get_bus(self, nets: Sequence[int]) -> LVec:
         return self.b.lane_get_bus(self.lane, nets)
+
+    def read_bus(self, nets: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(val, known)`` rows of ``nets`` (the harness's plane port)."""
+        return lvec_to_planes(self.get_bus(nets))
+
+    def write_bus(self, nets: Sequence[int], val: np.ndarray,
+                  known: np.ndarray) -> None:
+        """Drive ``nets`` from ``(val, known)`` rows, bit by bit."""
+        self.set_bus(nets, planes_to_lvec(val, known))
 
     def set_input(self, name: str, value) -> None:
         nl = self.b.c.netlist

@@ -3,53 +3,88 @@
 The event kernel in :mod:`repro.sim.event_sim` reproduces the paper's
 iverilog architecture faithfully, but a pure-Python event queue cannot
 sweep a whole processor for thousands of cycles.  This engine is the
-throughput path: it compiles the netlist once into per-(level, kind) index
-arrays and evaluates each cycle with a handful of numpy operations.
+throughput path: it compiles the netlist once into one gate table per
+topological level and evaluates a level -- whatever mix of cell kinds
+it holds -- as one gather of its gates' input nets, one weighted sum
+into a lookup-table index, one table gather and one scatter.
 
-Encoding: every net is a pair of booleans ``(val, known)`` across two
-numpy planes; ``known == False`` is ``X`` (``Z`` collapses to ``X``, which
-is safe for the non-tristate cell library).  All evaluators implement the
-same Kleene semantics as :mod:`repro.logic.tables`; engine equivalence is
-enforced by randomized cross-tests.
+Encoding: every net is a pair of booleans ``(val, known)``, the two
+adjacent bytes of one ``(n_nets, 2)`` array
+(:class:`~repro.sim.planes.BoolPlanes`); ``known == False`` is ``X``
+(``Z`` collapses to ``X``, which is safe for the non-tristate cell
+library).  The table is :func:`repro.logic.tables.kleene_lut`, the
+single semantics source, re-indexed for the planes (:data:`PLANE_LUT`).
 
 The engine supports the three paper-specific features directly:
 
-* **monitoring** -- arbitrary net lists can be read back as
-  :class:`~repro.logic.vector.LVec`;
+* **monitoring** -- nets read back as ``(val, known)`` rows
+  (:meth:`CycleSim.read_bus`) or as :class:`~repro.logic.vector.LVec`;
 * **state save/restore** -- :meth:`CycleSim.snapshot` /
   :meth:`CycleSim.restore` capture flop outputs, primary inputs and
   attached memories (comb logic is re-settled on restore);
-* **forcing** -- :meth:`CycleSim.force` pins a net to a value during
-  settle, which is how the co-analysis engine steers a forked simulation
-  down one side of a branch ("appropriate control flow signals are set",
-  paper section 3).
+* **forcing** -- :meth:`CycleSim.force` pins a net during settle (it is
+  re-pinned after each level that drives it), which is how the
+  co-analysis engine steers a forked simulation down one side of a
+  branch ("appropriate control flow signals are set", paper section 3).
 
-Settling is *incremental*: every mutation (``set_input``, ``force``,
-``restore``, ``clock_edge``) marks the nets it actually changed dirty,
-and :meth:`CycleSim.settle` only re-evaluates the ``(level, kind)``
-groups inside the fanout cone of those nets, walking a per-net cone
-index built once at compile time.  When the dirty frontier grows past
-``incremental_threshold`` of the design, settle falls back to the full
-levelized sweep (the cone bookkeeping would cost more than it saves).
-This is what makes fork-heavy path replay cheap: restoring a snapshot
-that differs in a handful of state bits re-simulates only the logic
-those bits reach, not the whole core.
+Settling is *incremental* at level granularity: every mutation marks
+the nets it actually changed dirty, and :meth:`CycleSim.settle`
+evaluates only the levels that read them (a per-net fanout-level bit
+mask built at compile time); a level whose outputs change adds its
+readers' levels in turn.  Past ``incremental_threshold`` dirty nets,
+settle evaluates every level.  Restoring a snapshot that differs in a
+handful of state bits thus re-simulates only the levels they reach.
+
+Memory ports are plane-native: :meth:`CycleSim.read_bus` and
+:meth:`CycleSim.write_bus` move whole buses as ``(val, known)`` rows,
+the form :class:`~repro.sim.memory.XMemory` reads and writes, so the
+per-cycle harness path allocates no :class:`~repro.logic.value.Logic`.
 """
 
 from __future__ import annotations
 
 import warnings
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
+from ..logic.tables import LUT_KINDS, kleene_lut
 from ..logic.value import Logic
 from ..logic.vector import LVec
 from ..netlist.netlist import Netlist
 from .memory import XMemory
-from .planes import BoolPlanes
+from .planes import BoolPlanes, lvec_to_planes, planes_to_lvec
 from .state import SimState
+
+
+def _plane_lut() -> np.ndarray:
+    """:func:`~repro.logic.tables.kleene_lut` re-indexed for the packed
+    planes.
+
+    A gate's three input nets, gathered as ``(val, known)`` byte pairs
+    and weighted LSB first, give ``bits = va | ka<<1 | vb<<2 | kb<<3
+    | vs<<4 | ks<<5``; entry ``kind*64 + bits`` is the output net's
+    ``(val, known)`` pair as the ``uint16`` :class:`BoolPlanes` stores.
+    A bit with ``val`` set but ``known`` clear reads as ``X``.
+    """
+    bits = np.arange(64)
+    code = np.zeros(64, dtype=np.int64)
+    for p in range(3):
+        val, known = (bits >> 2 * p) & 1, (bits >> 2 * p + 1) & 1
+        code += known * (1 + val) * 3 ** p
+    lut = np.frombuffer(kleene_lut(), dtype=np.uint8)
+    out = lut.reshape(len(LUT_KINDS), 27)[:, code].ravel()
+    return np.stack((out == 2, out > 0), axis=1).view(np.uint16)[:, 0].copy()
+
+
+#: the level kernel's table (see :func:`_plane_lut`)
+PLANE_LUT = _plane_lut()
+
+#: byte weights turning a gate's gathered ``(val, known)`` input bytes
+#: into its :data:`PLANE_LUT` column
+_PIN_WEIGHTS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
 
 
 class ForcedRestoreWarning(RuntimeWarning):
@@ -62,29 +97,43 @@ class ForcedRestoreWarning(RuntimeWarning):
     """
 
 
-class _Group:
+class _Group(NamedTuple):
     """All gates of one kind within one topological level."""
 
-    __slots__ = ("kind", "ins", "out", "level")
+    kind: str
+    ins: List[np.ndarray]
+    out: np.ndarray
+    level: int
 
-    def __init__(self, kind: str, ins: List[np.ndarray], out: np.ndarray,
-                 level: int):
-        self.kind = kind
-        self.ins = ins
-        self.out = out
-        self.level = level
+
+def _groups(netlist: Netlist, buckets: Dict[Tuple[int, str], List[int]]
+            ) -> List[_Group]:
+    """One :class:`_Group` per ``(level, kind) -> gate ids`` bucket, in
+    key order."""
+    groups = []
+    for (lvl, kind), gate_ids in sorted(buckets.items()):
+        gates = [netlist.gates[gi] for gi in gate_ids]
+        ins = [np.array([g.inputs[p] for g in gates], dtype=np.int64)
+               for p in range(gates[0].cell.arity)]
+        out = np.array([g.output for g in gates], dtype=np.int64)
+        groups.append(_Group(kind, ins, out, lvl))
+    return groups
 
 
 class CompiledNetlist:
     """Netlist lowered to index arrays for vectorized evaluation.
 
-    Besides the levelized ``(level, kind)`` evaluation schedule, the
-    compile step builds the *fanout-cone index* used by incremental
-    settling: a CSR mapping ``net -> schedule groups that read it``
-    (:attr:`fanout_ptr` / :attr:`fanout_groups`), the comb level of each
-    net's driver (:attr:`net_comb_level`, ``-1`` for primary inputs,
-    flop outputs and ties), and a ``gate -> schedule group`` map
-    (:attr:`gate_group`).
+    The comb schedule is :attr:`schedule`, ``(level, kind)`` groups in
+    level order; the batched engine generates one fused kernel per
+    level from it.  The serial engine evaluates a level from flat
+    tables (levels are numbered by rank, ``0 .. n_levels-1``):
+    :attr:`level_ins` (each gate's three input nets, short cells padded
+    with their first input), :attr:`level_base` (each gate's
+    :data:`PLANE_LUT` row block) and :attr:`level_out`.  Both engines
+    share the level-granular dirty-cone index: :attr:`net_level` (the
+    level of each net's comb driver, ``-1`` for primary inputs, flop
+    outputs and ties) and :attr:`fanout_levels`, per net the bit mask
+    (a Python int) of the levels that read it.
 
     Compilation is pure and the result is immutable, so instances are
     shared freely between simulators; use :func:`compile_netlist` to get
@@ -108,33 +157,18 @@ class CompiledNetlist:
                 tie_buckets.setdefault(g.kind, []).append(g.index)
                 continue
             buckets.setdefault((levels[g.index], g.kind), []).append(g.index)
-        self.schedule: List[_Group] = []
-        for (lvl, kind), gate_ids in sorted(buckets.items()):
-            arity = netlist.gates[gate_ids[0]].cell.arity
-            ins = [np.array([netlist.gates[gi].inputs[p] for gi in gate_ids],
-                            dtype=np.int64) for p in range(arity)]
-            out = np.array([netlist.gates[gi].output for gi in gate_ids],
-                           dtype=np.int64)
-            self.schedule.append(_Group(kind, ins, out, lvl))
-        self.n_groups = len(self.schedule)
+        self.schedule = _groups(netlist, buckets)
         self.ties: List[Tuple[str, np.ndarray]] = [
             (kind, np.array([netlist.gates[gi].output for gi in gate_ids],
                             dtype=np.int64))
             for kind, gate_ids in sorted(tie_buckets.items())]
 
         # sequential schedule: flops grouped by kind
-        seq_buckets: Dict[str, List[int]] = {}
+        seq_buckets: Dict[Tuple[int, str], List[int]] = {}
         for g in netlist.gates:
             if g.is_sequential:
-                seq_buckets.setdefault(g.kind, []).append(g.index)
-        self.flops: List[_Group] = []
-        for kind, gate_ids in sorted(seq_buckets.items()):
-            arity = netlist.gates[gate_ids[0]].cell.arity
-            ins = [np.array([netlist.gates[gi].inputs[p] for gi in gate_ids],
-                            dtype=np.int64) for p in range(arity)]
-            out = np.array([netlist.gates[gi].output for gi in gate_ids],
-                           dtype=np.int64)
-            self.flops.append(_Group(kind, ins, out, 0))
+                seq_buckets.setdefault((0, g.kind), []).append(g.index)
+        self.flops = _groups(netlist, seq_buckets)
 
         # state nets: flop outputs + primary inputs (the restorable part)
         state: List[int] = [n for n in netlist.inputs]
@@ -147,33 +181,42 @@ class CompiledNetlist:
         for g in netlist.gates:
             self.driver[g.output] = g.index
 
-        # gate -> position of its group in the comb schedule (-1 for
-        # flops and ties), and net -> comb level of its driver
-        self.gate_group = np.full(len(netlist.gates), -1, dtype=np.int64)
-        for pos, grp_entry in enumerate(sorted(buckets.items())):
-            for gi in grp_entry[1]:
-                self.gate_group[gi] = pos
-        self.net_comb_level = np.full(self.n_nets, -1, dtype=np.int64)
-        for g in netlist.gates:
-            if self.gate_group[g.index] >= 0:
-                self.net_comb_level[g.output] = levels[g.index]
+        self._build_levels()
 
-        # fanout-cone index (CSR): net -> comb schedule groups reading it
-        fan: List[List[int]] = [[] for _ in range(self.n_nets)]
-        for g in netlist.gates:
-            grp_pos = self.gate_group[g.index]
-            if grp_pos < 0:
-                continue
-            for net in set(g.inputs):
-                fan[net].append(int(grp_pos))
-        counts = np.zeros(self.n_nets + 1, dtype=np.int64)
-        flat: List[int] = []
-        for net, groups in enumerate(fan):
-            uniq = sorted(set(groups))
-            counts[net + 1] = len(uniq)
-            flat.extend(uniq)
-        self.fanout_ptr = np.cumsum(counts)
-        self.fanout_groups = np.array(flat, dtype=np.int64)
+    def _build_levels(self) -> None:
+        """The per-level LUT tables, from the group schedule (which is
+        sorted by level, so each level is one contiguous run)."""
+        sched = self.schedule
+        sizes = np.array([len(grp.out) for grp in sched], dtype=np.int64)
+        empty = [np.zeros(0, dtype=np.int64)]
+        ins = np.stack([
+            np.concatenate([grp.ins[p] if p < len(grp.ins) else grp.ins[0]
+                            for grp in sched] or empty)
+            for p in range(3)], axis=1)
+        out = np.concatenate([grp.out for grp in sched] or empty)
+        base = np.repeat(np.array([LUT_KINDS.index(grp.kind) * 64
+                                   for grp in sched], dtype=np.intp), sizes)
+        glevel = np.repeat(np.array([grp.level for grp in sched],
+                                    dtype=np.int64), sizes)
+        levels, starts, rank = np.unique(glevel, return_index=True,
+                                         return_inverse=True)
+        self.n_levels = len(levels)
+        bounds = list(zip(starts.tolist(), starts[1:].tolist() + [len(out)]))
+        self.level_ins = [ins[a:b] for a, b in bounds]
+        self.level_base = [base[a:b] for a, b in bounds]
+        self.level_out = [out[a:b] for a, b in bounds]
+        self.net_level = np.full(self.n_nets, -1, dtype=np.int64)
+        self.net_level[out] = rank
+        # per net, the bit mask of the levels reading it, kept as one
+        # Python int: settle ORs a handful of these per level, where a
+        # numpy reduction would cost more than the OR itself
+        reads = np.zeros((self.n_nets, max(1, self.n_levels)), dtype=bool)
+        reads[ins, rank[:, None]] = True
+        packed = np.packbits(reads, axis=1, bitorder="little")
+        raw, step = packed.tobytes(), packed.shape[1]
+        self.fanout_levels: List[int] = [
+            int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, len(raw), step)]
 
 
 #: per-process compiled-netlist cache keyed by netlist object identity
@@ -214,10 +257,9 @@ class CycleSim:
         compiled: the shared :class:`CompiledNetlist`.
         record_activity: collect toggle/ever-X planes (see
             :meth:`arm_activity`).
-        incremental: settle only the dirty fanout cone (default).  Set
-            False to force the full levelized sweep on every settle --
-            the pre-incremental behaviour, kept for benchmarking and as
-            an escape hatch.
+        incremental: settle only the levels of the dirty fanout cone
+            (default).  Set False to evaluate every level on every
+            settle -- kept for benchmarking and as an escape hatch.
         incremental_threshold: fraction of nets in the dirty frontier
             above which settle falls back to the full sweep.
     """
@@ -233,24 +275,30 @@ class CycleSim:
         self.planes = BoolPlanes(n)
         self.val = self.planes.val
         self.known = self.planes.known         # everything starts X
+        self._vk16 = self.planes.vk16
         self.cycle = 0
         self.memories: Dict[str, XMemory] = {}
         self.record_activity = record_activity
         self.toggled = self.planes.toggled
         self.ever_x = self.planes.ever_x
         self._activity_armed = False
-        self._prev_val = self.planes.prev_val
-        self._prev_known = self.planes.prev_known
+        self._prev_vk = self.planes.prev_vk
+        self._prev_vk16 = self.planes.prev_vk16
         #: force store: net -> (val, known); index arrays are
         #: materialized lazily so N forces stay O(N), not O(N^2)
         self._forces: Dict[int, Tuple[bool, bool]] = {}
         self._force_cache: Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]] = None
+                                          np.ndarray, int]] = None
+        #: per-net "is forced" plane, for the vectorized bus writes
+        self._forced = np.zeros(n, dtype=bool)
         self.incremental = incremental
         self._dirty_limit = max(1, int(incremental_threshold * n))
         self._dirty_nets: set = set()
-        self._dirty_groups: set = set()
+        #: levels whose own gates must re-evaluate (a poked or released
+        #: gate-driven net), as a bit mask over level ranks
+        self._dirty_levels = 0
         self._needs_full = True
+        self._all_levels = (1 << compiled.n_levels) - 1
         #: settle-path counters (observability / benchmark assertions)
         self.full_settles = 0
         self.incremental_settles = 0
@@ -285,14 +333,36 @@ class CycleSim:
             return Logic.X
         return Logic.L1 if self.val[net] else Logic.L0
 
-    def set_bus(self, nets: Sequence[int], value: LVec) -> None:
-        if len(nets) != value.width:
+    def read_bus(self, nets) -> Tuple[np.ndarray, np.ndarray]:
+        """``(val, known)`` bool rows of ``nets`` (fresh copies)."""
+        return self.val[nets], self.known[nets]
+
+    def write_bus(self, nets, val: np.ndarray, known: np.ndarray) -> None:
+        """Drive ``nets`` from ``(val, known)`` bool rows.
+
+        The vectorized :meth:`set_net`: forced nets are skipped, and
+        only nets whose value actually changes are marked dirty.
+        """
+        nets = np.asarray(nets, dtype=np.int64)
+        if len(val) != len(nets) or len(known) != len(nets):
             raise ValueError("bus width mismatch")
-        for net, bit in zip(nets, value.bits):
-            self.set_net(net, bit)
+        val = val & known
+        if self._forces:
+            free = ~self._forced[nets]
+            nets, val, known = nets[free], val[free], known[free]
+        changed = (self.val[nets] != val) | (self.known[nets] != known)
+        if changed.any():
+            idx = nets[changed]
+            self.val[idx] = val[changed]
+            self.known[idx] = known[changed]
+            for net in idx.tolist():
+                self._mark_dirty(net)
+
+    def set_bus(self, nets: Sequence[int], value: LVec) -> None:
+        self.write_bus(nets, *lvec_to_planes(value))
 
     def get_bus(self, nets: Sequence[int]) -> LVec:
-        return LVec([self.get_net(n) for n in nets])
+        return planes_to_lvec(*self.read_bus(nets))
 
     def set_input(self, name: str, value) -> None:
         """Drive a named primary input (scalar Logic/int or LVec)."""
@@ -307,14 +377,13 @@ class CycleSim:
     # -- dirty tracking -------------------------------------------------------
     def _mark_dirty(self, net: int) -> None:
         """A net's value changed: its fanout cone must re-settle; if it
-        is gate-driven, the driver re-derives it (so a poke to an
-        internal net is transient, exactly as under the full sweep)."""
+        is gate-driven, the driver's level re-derives it (so a poke to
+        an internal net is transient, exactly as under the full
+        sweep)."""
         self._dirty_nets.add(net)
-        drv = self.c.driver[net]
-        if drv >= 0:
-            grp = self.c.gate_group[drv]
-            if grp >= 0:
-                self._dirty_groups.add(int(grp))
+        lvl = self.c.net_level[net]
+        if lvl >= 0:
+            self._dirty_levels |= 1 << int(lvl)
 
     def mark_all_dirty(self) -> None:
         """Invalidate incremental state: the next settle is a full sweep.
@@ -328,14 +397,15 @@ class CycleSim:
     def force(self, net: int, value: Logic) -> None:
         """Pin a net to ``value`` during settle until :meth:`release`.
 
-        While forced, the net ignores :meth:`set_net`; after release it
-        keeps the forced value until re-driven (by its comb driver at
-        the next settle, by a flop at the next edge, or by a new
-        ``set_net``).
+        While forced, the net ignores :meth:`set_net` and
+        :meth:`write_bus`; after release it keeps the forced value
+        until re-driven (by its comb driver at the next settle, by a
+        flop at the next edge, or by a new ``set_net``).
         """
         v = value is Logic.L1
         k = value.is_known
         self._forces[net] = (v, k)
+        self._forced[net] = True
         self._force_cache = None
         if self.val[net] != v or self.known[net] != k:
             # the pin takes effect at the next settle; only the fanout
@@ -353,19 +423,20 @@ class CycleSim:
         else:
             return
         self._force_cache = None
+        self._forced[released] = False
         for n in released:
             self._reassert_driver(n)
 
     def _reassert_driver(self, net: int) -> None:
         """After a release the net's own driver owns it again: schedule
-        its group for re-evaluation (ties are re-tied in place; PIs and
+        its level for re-evaluation (ties are re-tied in place; PIs and
         flop outputs keep the last value, as under the full sweep)."""
+        lvl = self.c.net_level[net]
+        if lvl >= 0:
+            self._dirty_levels |= 1 << int(lvl)
+            return
         drv = self.c.driver[net]
         if drv < 0:
-            return
-        grp = self.c.gate_group[drv]
-        if grp >= 0:
-            self._dirty_groups.add(int(grp))
             return
         kind = self.c.netlist.gates[drv].kind
         if kind in ("TIE0", "TIE1"):
@@ -375,7 +446,12 @@ class CycleSim:
                 self.known[net] = True
                 self._dirty_nets.add(net)
 
-    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _force_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     int]:
+        """``(nets, vals, knowns, levels)``: the forces as arrays, and
+        the bit mask of the levels that drive a forced net -- forces
+        are re-pinned after each such level, before any reader level
+        evaluates."""
         if self._force_cache is None:
             n = len(self._forces)
             nets = np.fromiter(self._forces.keys(), dtype=np.int64,
@@ -384,37 +460,22 @@ class CycleSim:
                                dtype=bool, count=n)
             knowns = np.fromiter((k for _, k in self._forces.values()),
                                  dtype=bool, count=n)
-            self._force_cache = (nets, vals, knowns)
+            levels = 0
+            for lvl in self.c.net_level[nets].tolist():
+                if lvl >= 0:
+                    levels |= 1 << lvl
+            self._force_cache = (nets, vals, knowns, levels)
         return self._force_cache
 
-    # lazily-materialized views, part of the (test-visible) interface
     @property
     def _force_nets(self) -> np.ndarray:
         return self._force_arrays()[0]
 
-    @property
-    def _force_val(self) -> np.ndarray:
-        return self._force_arrays()[1]
-
-    @property
-    def _force_known(self) -> np.ndarray:
-        return self._force_arrays()[2]
-
     def _apply_forces(self) -> None:
         if self._forces:
-            nets, vals, knowns = self._force_arrays()
+            nets, vals, knowns, _ = self._force_arrays()
             self.val[nets] = vals
             self.known[nets] = knowns
-
-    def _force_levels(self):
-        """Comb levels that drive a forced net.  Forces are re-asserted
-        once after each such level -- pinned before any reader level
-        evaluates -- instead of after every group."""
-        if not self._forces:
-            return ()
-        lv = {int(self.c.net_comb_level[n]) for n in self._forces}
-        lv.discard(-1)
-        return lv
 
     # -- evaluation ------------------------------------------------------------
     def _tie_init(self) -> None:
@@ -422,123 +483,64 @@ class CycleSim:
             self.val[out] = kind == "TIE1"
             self.known[out] = True
 
-    def _compute_group(self, grp: _Group) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate one (level, kind) group, returning fresh (val, known)
-        planes for its output nets (no stores)."""
-        val, known = self.val, self.known
-        kind = grp.kind
-        if kind == "BUF":
-            a = grp.ins[0]
-            return val[a], known[a]
-        if kind == "NOT":
-            a = grp.ins[0]
-            ka = known[a]
-            return ~val[a] & ka, ka
-        if kind in ("AND", "NAND"):
-            a, b = grp.ins
-            va, ka = val[a], known[a]
-            vb, kb = val[b], known[b]
-            one = va & ka & vb & kb
-            zero = (ka & ~va) | (kb & ~vb)
-            k = one | zero
-            v = one if kind == "AND" else (zero & k)
-            return v, k
-        if kind in ("OR", "NOR"):
-            a, b = grp.ins
-            va, ka = val[a], known[a]
-            vb, kb = val[b], known[b]
-            one = (va & ka) | (vb & kb)
-            zero = (ka & ~va) & (kb & ~vb)
-            k = one | zero
-            v = one if kind == "OR" else zero
-            return v, k
-        if kind in ("XOR", "XNOR"):
-            a, b = grp.ins
-            k = known[a] & known[b]
-            x = val[a] ^ val[b]
-            return (x if kind == "XOR" else ~x) & k, k
-        if kind == "MUX2":
-            d0, d1, s = grp.ins
-            vs, ks = val[s], known[s]
-            v0, k0 = val[d0], known[d0]
-            v1, k1 = val[d1], known[d1]
-            s1 = ks & vs
-            s0 = ks & ~vs
-            agree = k0 & k1 & (v0 == v1)
-            k = (s0 & k0) | (s1 & k1) | (~ks & agree)
-            v = ((s0 & v0) | (s1 & v1) | (~ks & agree & v0)) & k
-            return v, k
-        raise KeyError(f"no vectorized evaluator for {kind!r}")
-
     def settle(self) -> None:
         """Re-settle combinational logic.
 
-        Incremental mode evaluates only groups in the fanout cone of
-        nets dirtied since the last settle, falling back to one full
-        topological sweep when the dirty frontier exceeds the
-        threshold (or after :meth:`mark_all_dirty`).  Both paths yield
-        identical planes -- equivalence is pinned by the randomized
-        event-engine cross-tests.
+        Incremental mode evaluates only the levels in the fanout cone
+        of nets dirtied since the last settle, falling back to every
+        level when the dirty frontier exceeds the threshold (or after
+        :meth:`mark_all_dirty`).  Both paths yield identical planes --
+        equivalence is pinned by the randomized event-engine
+        cross-tests.
         """
         if not self.incremental or self._needs_full or \
                 len(self._dirty_nets) > self._dirty_limit:
-            self._settle_full()
-            return
-        if not self._dirty_nets and not self._dirty_groups:
+            self._settle_levels(self._all_levels, track=False)
+            self._needs_full = False
+            self.full_settles += 1
+        elif self._dirty_nets or self._dirty_levels:
+            pending = self._dirty_levels
+            fanout = self.c.fanout_levels
+            for net in self._dirty_nets:
+                pending |= fanout[net]
+            self._settle_levels(pending, track=True)
+            self.incremental_settles += 1
+        else:
             self.noop_settles += 1
             return
-        self._settle_incremental()
-
-    def _settle_full(self) -> None:
-        val, known = self.val, self.known
-        self._apply_forces()
-        force_levels = self._force_levels()
-        for grp in self.c.schedule:
-            v, k = self._compute_group(grp)
-            val[grp.out] = v
-            known[grp.out] = k
-            if grp.level in force_levels:
-                self._apply_forces()
         self._dirty_nets.clear()
-        self._dirty_groups.clear()
-        self._needs_full = False
-        self.full_settles += 1
+        self._dirty_levels = 0
 
-    def _settle_incremental(self) -> None:
+    def _settle_levels(self, pending: int, track: bool) -> None:
+        """Evaluate the levels in the ``pending`` bit mask, lowest
+        first.  With ``track``, a level whose outputs change adds the
+        levels reading them -- always higher ones, so one ascending
+        pass reaches the whole cone."""
         c = self.c
-        val, known = self.val, self.known
-        affected = np.zeros(c.n_groups, dtype=bool)
-        ptr, fg = c.fanout_ptr, c.fanout_groups
-        for net in self._dirty_nets:
-            s, e = ptr[net], ptr[net + 1]
-            if s != e:
-                affected[fg[s:e]] = True
-        for g in self._dirty_groups:
-            affected[g] = True
-        self._apply_forces()
-        force_levels = self._force_levels()
-        # groups only feed strictly higher levels, so one forward pass
-        # over the schedule reaches the whole cone
-        for gi, grp in enumerate(c.schedule):
-            if not affected[gi]:
-                continue
-            out = grp.out
-            old_v, old_k = val[out], known[out]   # fancy index == copy
-            v, k = self._compute_group(grp)
-            val[out] = v
-            known[out] = k
-            if grp.level in force_levels:
+        vk16 = self._vk16
+        ins, base, outs = c.level_ins, c.level_base, c.level_out
+        fanout = c.fanout_levels
+        force_levels = 0
+        if self._forces:
+            self._apply_forces()
+            force_levels = self._force_arrays()[3]
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            lvl = low.bit_length() - 1
+            out = outs[lvl]
+            # the input pairs' six bytes, weighted into a 6-bit LUT column
+            new = PLANE_LUT[np.dot(vk16[ins[lvl]].view(np.uint8),
+                                   _PIN_WEIGHTS) + base[lvl]]
+            if track:
+                old = vk16[out]
+            vk16[out] = new
+            if low & force_levels:
                 self._apply_forces()
-                v, k = val[out], known[out]
-            changed = (v != old_v) | (k != old_k)
-            if changed.any():
-                for net in out[changed]:
-                    s, e = ptr[net], ptr[net + 1]
-                    if s != e:
-                        affected[fg[s:e]] = True
-        self._dirty_nets.clear()
-        self._dirty_groups.clear()
-        self.incremental_settles += 1
+                new = vk16[out]
+            if track and new.tobytes() != old.tobytes():
+                for net in out[new != old].tolist():
+                    pending |= fanout[net]
 
     def clock_edge(self) -> None:
         """Advance all flops one positive edge (synchronous semantics).
@@ -560,10 +562,9 @@ class CycleSim:
             if kind in ("DFFE", "DFFER"):
                 e = grp.ins[1]
                 ve, ke = val[e], known[e]
-                hold_v, hold_k = vq, kq
                 agree = kd & kq & (vd == vq)
-                nv = np.where(ke, np.where(ve, vd, hold_v), agree & vd)
-                nk = np.where(ke, np.where(ve, kd, hold_k), agree)
+                nv = np.where(ke, np.where(ve, vd, vq), agree & vd)
+                nk = np.where(ke, np.where(ve, kd, kq), agree)
             else:
                 nv, nk = vd.copy(), kd.copy()
             if kind in ("DFFR", "DFFER"):
@@ -587,18 +588,14 @@ class CycleSim:
     def arm_activity(self) -> None:
         """Begin toggle recording (call after reset settles)."""
         self._activity_armed = True
-        self._prev_val[:] = self.val
-        self._prev_known[:] = self.known
+        self._prev_vk[:] = self.planes.vk
 
     def record_activity_now(self) -> None:
         if not (self.record_activity and self._activity_armed):
             return
         self.ever_x |= ~self.known
-        changed = (self.val != self._prev_val) | \
-                  (self.known != self._prev_known)
-        self.toggled |= changed
-        self._prev_val[:] = self.val
-        self._prev_known[:] = self.known
+        self.toggled |= self._vk16 != self._prev_vk16
+        self._prev_vk[:] = self.planes.vk
 
     def exercised_nets(self) -> np.ndarray:
         """Boolean per-net array: net toggled or was ever X."""
@@ -688,5 +685,4 @@ class CycleSim:
         self.cycle = state.cycle
         self.settle()
         if self._activity_armed:
-            self._prev_val[:] = self.val
-            self._prev_known[:] = self.known
+            self._prev_vk[:] = self.planes.vk

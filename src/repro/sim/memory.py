@@ -11,8 +11,12 @@ Writes honour four-valued control:
   the merge of its old and new contents;
 * any address bit ``X``: the write could land anywhere in the addressable
   window, so every word merges with the data (sound, maximally
-  conservative).  A counter records how often this fallback fired so
-  benchmarks can report it.
+  conservative) -- one numpy merge over the window's rows.  A counter
+  records how often this fallback fired so benchmarks can report it.
+
+Ports are plane-native: :meth:`XMemory.read` and :meth:`XMemory.write`
+take addresses and data as ``(val, known)`` bool rows, the form the
+cycle engine's :meth:`~repro.sim.cycle_sim.CycleSim.read_bus` returns.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from ..logic.value import Logic
 from ..logic.vector import LVec
+from .planes import bits_to_int, lvec_to_planes, planes_to_lvec
 
 
 class XMemory:
@@ -72,73 +77,78 @@ class XMemory:
         self.known[:] = False
 
     # -- four-valued access ---------------------------------------------------
-    def read(self, addr: LVec) -> LVec:
+    def read(self, addr):
         """Read under a possibly-symbolic address.
 
-        A fully known address reads one word; an address with ``X`` bits
-        returns the merge of every word it could select (conservative).
+        ``addr`` is a ``(val, known)`` pair of LSB-first bool rows, and
+        the word read comes back as a fresh ``(val, known)`` pair; an
+        :class:`LVec` address is converted here and gets an
+        :class:`LVec` back.  A fully known address reads one word (all
+        ``X`` past the end); an address with ``X`` bits returns the
+        merge of every word its window could select (conservative).
         """
-        if addr.is_known:
-            a = addr.to_int()
+        if isinstance(addr, LVec):
+            return planes_to_lvec(*self.read(lvec_to_planes(addr)))
+        aval, aknown = addr
+        if aknown.all():
+            a = bits_to_int(aval)
             if a >= self.words:
-                return LVec.unknown(self.width)
-            return self._word(a)
-        lo, hi = self._addr_window(addr)
-        val = self.val[lo]
-        known = self.known[lo].copy()
-        for w in range(lo + 1, hi):
-            known &= self.known[w] & (self.val[w] == val)
-        return _to_lvec(val & known, known)
+                blank = np.zeros(self.width, dtype=bool)
+                return blank, blank.copy()
+            return self.val[a].copy(), self.known[a].copy()
+        lo, hi = self._addr_window(aval, aknown)
+        val, known = self.val[lo:hi], self.known[lo:hi]
+        merged = known.all(axis=0) & (val == val[0]).all(axis=0)
+        return val[0] & merged, merged
 
     def read_concrete(self, addr: int) -> LVec:
         self._check_addr(addr)
-        return self._word(addr)
+        return planes_to_lvec(self.val[addr], self.known[addr])
 
-    def write(self, addr: LVec, data: LVec, enable: Logic = Logic.L1) -> None:
-        """Write under four-valued enable/address semantics."""
+    def write(self, addr, data, enable: Logic = Logic.L1) -> None:
+        """Write under four-valued enable/address semantics.
+
+        ``addr`` and ``data`` are ``(val, known)`` bool-row pairs or
+        :class:`LVec`\\ s (converted here).  A write under an ``X``
+        address bit merges ``data`` into every word of the address
+        window; an ``X`` enable merges it into the addressed word.
+        """
         if enable is Logic.L0:
             return
-        dval, dknown = _from_lvec(data)
-        if not addr.is_known:
-            self.x_addr_writes += 1
-            lo, hi = self._addr_window(addr)
-            for w in range(lo, hi):
-                self._merge_word(w, dval, dknown)
-            return
-        a = addr.to_int()
-        if a >= self.words:
-            return
-        if enable is Logic.L1:
-            self.val[a] = dval
-            self.known[a] = dknown
-        else:  # enable X/Z: write may or may not occur
+        if isinstance(addr, LVec):
+            addr = lvec_to_planes(addr)
+        if isinstance(data, LVec):
+            data = lvec_to_planes(data)
+        aval, aknown = addr
+        dknown = data[1]
+        dval = data[0] & dknown
+        if aknown.all():
+            a = bits_to_int(aval)
+            if a >= self.words:
+                return
+            if enable is Logic.L1:
+                self.val[a] = dval
+                self.known[a] = dknown
+                return
+            # enable X/Z: the write may or may not occur
             self.x_en_writes += 1
-            self._merge_word(a, dval, dknown)
+            lo, hi = a, a + 1
+        else:
+            self.x_addr_writes += 1
+            lo, hi = self._addr_window(aval, aknown)
+        # each word of [lo, hi) keeps only the bits the data agrees with
+        known = self.known[lo:hi] & dknown & (self.val[lo:hi] == dval)
+        self.val[lo:hi] &= known
+        self.known[lo:hi] = known
 
     # -- internals -----------------------------------------------------------
-    def _word(self, addr: int) -> LVec:
-        return _to_lvec(self.val[addr], self.known[addr])
-
-    def _merge_word(self, addr: int, dval, dknown) -> None:
-        known = self.known[addr] & dknown & (self.val[addr] == dval)
-        self.val[addr] &= known
-        self.known[addr] = known
-
-    def _addr_window(self, addr: LVec) -> Tuple[int, int]:
-        """Smallest concrete address interval covering a symbolic address."""
-        lo = hi = 0
-        for i in reversed(range(addr.width)):
-            bit = addr[i]
-            lo <<= 1
-            hi <<= 1
-            if bit is Logic.L1:
-                lo |= 1
-                hi |= 1
-            elif bit is not Logic.L0:
-                hi |= 1
-        lo = min(lo, self.words - 1)
-        hi = min(hi + 1, self.words)
-        return lo, hi
+    def _addr_window(self, aval: np.ndarray,
+                     aknown: np.ndarray) -> Tuple[int, int]:
+        """Smallest concrete address interval covering a symbolic address:
+        its X bits all 0 give the low end, all 1 the high end."""
+        lo = bits_to_int(aval & aknown)
+        hi = bits_to_int(aval | ~aknown)
+        return min(lo, self.words - 1), min(hi + 1, self.words)
 
     # -- state management -------------------------------------------------------
     def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -170,15 +180,3 @@ class XMemory:
     def __hash__(self):  # pragma: no cover - mutable container
         raise TypeError("XMemory is unhashable")
 
-
-def _to_lvec(val: np.ndarray, known: np.ndarray) -> LVec:
-    bits = []
-    for v, k in zip(val.tolist(), known.tolist()):
-        bits.append((Logic.L1 if v else Logic.L0) if k else Logic.X)
-    return LVec(bits)
-
-
-def _from_lvec(vec: LVec) -> Tuple[np.ndarray, np.ndarray]:
-    val = np.array([b is Logic.L1 for b in vec.bits], dtype=bool)
-    known = np.array([b.is_known for b in vec.bits], dtype=bool)
-    return val, known

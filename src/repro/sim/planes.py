@@ -31,6 +31,9 @@ from typing import Tuple
 
 import numpy as np
 
+from ..logic.value import Logic
+from ..logic.vector import LVec
+
 #: all bits of one plane word
 M64 = (1 << 64) - 1
 #: lanes packed into one uint64 plane word
@@ -67,20 +70,51 @@ def column_bits(arr: np.ndarray, lane: int) -> np.ndarray:
     return ((arr[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
 
 
-class BoolPlanes:
-    """One simulation state: ``(n_nets,)`` bool planes (serial engine)."""
+def lvec_to_planes(vec: LVec) -> Tuple[np.ndarray, np.ndarray]:
+    """An :class:`LVec` as ``(val, known)`` bool rows (``Z`` is ``X``)."""
+    val = np.array([b is Logic.L1 for b in vec.bits], dtype=bool)
+    known = np.array([b.is_known for b in vec.bits], dtype=bool)
+    return val, known
 
-    __slots__ = ("n_nets", "val", "known", "toggled", "ever_x",
-                 "prev_val", "prev_known")
+
+def planes_to_lvec(val: np.ndarray, known: np.ndarray) -> LVec:
+    """``(val, known)`` bool rows as an :class:`LVec`."""
+    return LVec([(Logic.L1 if v else Logic.L0) if k else Logic.X
+                 for v, k in zip(val.tolist(), known.tolist())])
+
+
+def bits_to_int(bits: np.ndarray) -> int:
+    """An LSB-first bool row as an unsigned int."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
+class BoolPlanes:
+    """One simulation state: ``(n_nets,)`` bool planes (serial engine).
+
+    ``val``/``known`` are the two columns of one ``(n_nets, 2)`` array,
+    :attr:`vk`, so a net's state is two adjacent bytes: viewed as
+    ``uint16`` (:attr:`vk16`) one gather reads or writes both planes
+    of a net set, and one compare tells which nets changed.  The
+    previous-frame planes share the layout (:attr:`prev_vk`).
+    """
+
+    __slots__ = ("n_nets", "vk", "vk16", "val", "known", "toggled",
+                 "ever_x", "prev_vk", "prev_vk16", "prev_val",
+                 "prev_known")
 
     def __init__(self, n_nets: int):
         self.n_nets = n_nets
-        self.val = np.zeros(n_nets, dtype=bool)
-        self.known = np.zeros(n_nets, dtype=bool)   # everything starts X
+        self.vk = np.zeros((n_nets, 2), dtype=bool)  # everything starts X
+        self.vk16 = self.vk.view(np.uint16)[:, 0]
+        self.val = self.vk[:, 0]
+        self.known = self.vk[:, 1]
         self.toggled = np.zeros(n_nets, dtype=bool)
         self.ever_x = np.zeros(n_nets, dtype=bool)
-        self.prev_val = np.zeros(n_nets, dtype=bool)
-        self.prev_known = np.zeros(n_nets, dtype=bool)
+        self.prev_vk = np.zeros((n_nets, 2), dtype=bool)
+        self.prev_vk16 = self.prev_vk.view(np.uint16)[:, 0]
+        self.prev_val = self.prev_vk[:, 0]
+        self.prev_known = self.prev_vk[:, 1]
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
         return (self.val, self.known, self.toggled, self.ever_x,

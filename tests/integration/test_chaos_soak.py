@@ -8,7 +8,8 @@ sharded bm32 job.  SIGTERM must end the job as a checkpointed PARTIAL
 checkpoint, and once the retry budget is spent the job also ends
 PARTIAL (``worker_lost``).  Each PARTIAL is resubmitted with
 ``resume_from`` until the job is DONE, and the converged exercisable
-set must equal a direct :func:`~repro.reporting.runner.run_one`.
+set must equal a direct :func:`~repro.reporting.runner.run_one`.  Every
+launch, killed or not, must leave a parseable JSONL trace.
 
 Set ``REPRO_CHAOS_ARTIFACTS`` to a directory to keep every launch's
 JSONL trace and checkpoint journal for upload (CI does); otherwise they
@@ -24,6 +25,7 @@ from random import Random
 
 import pytest
 
+from repro.coanalysis.trace import read_trace
 from repro.reporting.runner import run_one
 from repro.service import Scheduler, SchedulerConfig
 
@@ -96,6 +98,11 @@ def test_chaos_soak_completes_or_resumes(seed, tmp_path, baseline):
                     times = None if times is None else times - 1
                     await_exit(sched, job.job_id)
             settled = sched.wait(job.job_id, timeout=300)
+            # killed or not, a launch leaves a parseable trace of the
+            # work it did: the sink writes and flushes whole lines
+            events = read_trace(sched.job_store.trace_path(job.job_id))
+            assert any(e.kind == "run_start" for e in events), \
+                f"launch {launch} left an empty trace"
             for name in ("trace", "checkpoint"):
                 path = getattr(sched.job_store, f"{name}_path")(job.job_id)
                 if path.is_file():

@@ -95,3 +95,78 @@ class TestCoversMergeLaws:
         m.fill_unknown()
         m.restore(snap)
         assert m.read_concrete(1).to_int() == v
+
+
+logic_bits = st.sampled_from([Logic.L0, Logic.L1, Logic.X])
+
+
+def reference_write(words, addr, data, enable):
+    """The write contract word by word, on a list of LVec words: under
+    an X address bit every word of the covering window merges with the
+    data, under an X enable the addressed word does."""
+    if enable is Logic.L0:
+        return words
+    lo = sum(1 << i for i, b in enumerate(addr) if b is Logic.L1)
+    hi = sum(1 << i for i, b in enumerate(addr) if b is not Logic.L0)
+    if addr.is_known:
+        if lo >= len(words):
+            return words
+        window = [lo]
+        if enable is Logic.L1:
+            return [data if w == lo else word
+                    for w, word in enumerate(words)]
+    else:
+        window = range(min(lo, len(words) - 1), min(hi + 1, len(words)))
+    return [word.merge(data) if w in window else word
+            for w, word in enumerate(words)]
+
+
+class TestVectorizedWindowWrite:
+    """The one-numpy-op window merge agrees with the word-by-word
+    contract, on memories holding X bits, for X addresses and enables
+    (memories of 5 to 8 words, so some 3-bit addresses fall past the
+    end and some windows are clipped)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(logic_bits, min_size=WIDTH, max_size=WIDTH),
+                    min_size=5, max_size=WORDS),
+           st.lists(logic_bits, min_size=ADDR_BITS, max_size=ADDR_BITS),
+           st.lists(logic_bits, min_size=WIDTH, max_size=WIDTH),
+           st.sampled_from([Logic.L0, Logic.L1, Logic.X]))
+    def test_write_matches_per_word_reference(self, init, addr_bits,
+                                              data_bits, enable):
+        words = [LVec(bits) for bits in init]
+        mem = XMemory(len(words), WIDTH)
+        for a, word in enumerate(words):
+            mem.val[a] = [b is Logic.L1 for b in word]
+            mem.known[a] = [b.is_known for b in word]
+        addr, data = LVec(addr_bits), LVec(data_bits)
+        mem.write(addr, data, enable=enable)
+        expect = reference_write(words, addr, data, enable)
+        assert [mem.read_concrete(a) for a in range(len(words))] == expect
+        x_addr = enable is not Logic.L0 and not addr.is_known
+        x_en = (enable is Logic.X and addr.is_known
+                and addr.to_int() < len(words))
+        assert (mem.x_addr_writes, mem.x_en_writes) == (x_addr, x_en)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(logic_bits, min_size=WIDTH, max_size=WIDTH),
+                    min_size=5, max_size=WORDS),
+           st.lists(logic_bits, min_size=ADDR_BITS, max_size=ADDR_BITS))
+    def test_read_matches_per_word_reference(self, init, addr_bits):
+        words = [LVec(bits) for bits in init]
+        mem = XMemory(len(words), WIDTH)
+        for a, word in enumerate(words):
+            mem.val[a] = [b is Logic.L1 for b in word]
+            mem.known[a] = [b.is_known for b in word]
+        addr = LVec(addr_bits)
+        lo = sum(1 << i for i, b in enumerate(addr) if b is Logic.L1)
+        hi = sum(1 << i for i, b in enumerate(addr) if b is not Logic.L0)
+        if addr.is_known:
+            expect = words[lo] if lo < len(words) else LVec.unknown(WIDTH)
+        else:
+            window = words[min(lo, len(words) - 1):min(hi + 1, len(words))]
+            expect = window[0]
+            for word in window[1:]:
+                expect = expect.merge(word)
+        assert mem.read(addr) == expect

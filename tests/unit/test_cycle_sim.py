@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.logic import Logic, LVec
-from repro.netlist import Netlist
+from repro.logic.tables import CODES, LUT_KINDS, evaluate, kleene_lut
+from repro.netlist import LIBRARY, Netlist
 from repro.rtl import Design, mux
 from repro.sim import (CompiledNetlist, CycleSim, ForcedRestoreWarning,
                        XMemory, compile_netlist)
+from repro.sim.cycle_sim import PLANE_LUT
 
 
 def comb_xor_netlist():
@@ -90,6 +92,64 @@ class TestCombEvaluation:
         sim.set_net(d1, Logic.L0)
         sim.settle()
         assert sim.get_net(y) is Logic.X
+
+
+def _tables_code(kind, digits, z_for_x):
+    """Output code of ``repro.logic.tables`` for 3-valued input codes,
+    with ``Z`` standing in for every ``X`` input when ``z_for_x``."""
+    ins = [Logic.Z if z_for_x and d == 0 else CODES[d]
+           for d in digits[:LIBRARY[kind].arity]]
+    out = evaluate(kind, ins)
+    return CODES.index(out) if out.is_known else 0
+
+
+class TestLevelLut:
+    """The level kernel's table is ``repro.logic.tables``, exhaustively."""
+
+    @pytest.mark.parametrize("kind", LUT_KINDS)
+    @pytest.mark.parametrize("z_for_x", [False, True])
+    def test_lut_matches_logic_tables(self, kind, z_for_x):
+        lut, ki = kleene_lut(), LUT_KINDS.index(kind)
+        for code in range(27):
+            digits = [code // 3 ** p % 3 for p in range(3)]
+            want = _tables_code(kind, digits, z_for_x)
+            assert lut[ki * 27 + code] == want, (kind, digits)
+            # the plane-shaped copy the engine indexes: pin p's val and
+            # known bytes are bits 2p and 2p+1 of the column
+            bits = sum(((d == 2) << 2 * p) | ((d > 0) << 2 * p + 1)
+                       for p, d in enumerate(digits))
+            val, known = np.array([PLANE_LUT[ki * 64 + bits]],
+                                  dtype=np.uint16).view(bool)
+            assert (known, val) == (want > 0, want == 2), (kind, digits)
+
+    def test_val_without_known_reads_as_x(self):
+        """A set ``val`` byte under a clear ``known`` is an X input."""
+        for ki in range(len(LUT_KINDS)):
+            for bits in range(64):
+                canonical = bits
+                for p in range(3):
+                    if not bits >> (2 * p + 1) & 1:
+                        canonical &= ~(1 << 2 * p)
+                assert PLANE_LUT[ki * 64 + bits] == \
+                    PLANE_LUT[ki * 64 + canonical]
+
+    @pytest.mark.parametrize("kind", LUT_KINDS)
+    def test_settle_matches_logic_tables(self, kind):
+        """Every input code through a real settle, Z driven for X."""
+        nl = Netlist("one")
+        pins = [nl.add_net(f"i{p}") for p in range(3)]
+        for net in pins:
+            nl.mark_input(net)
+        y = nl.add_net("y")
+        nl.add_gate("g", kind, pins[:LIBRARY[kind].arity], y)
+        sim = CycleSim(CompiledNetlist(nl))
+        for code in range(27):
+            digits = [code // 3 ** p % 3 for p in range(3)]
+            for net, d in zip(pins, digits):
+                sim.set_net(net, Logic.Z if d == 0 else CODES[d])
+            sim.settle()
+            assert sim.get_net(y) is CODES[_tables_code(kind, digits,
+                                                        True)]
 
 
 class TestFlopSemantics:

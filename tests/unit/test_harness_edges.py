@@ -1,5 +1,7 @@
 """Edge-case tests for the core harness and cycle-engine step hooks."""
 
+import random
+
 import pytest
 
 from repro.logic import Logic, LVec
@@ -124,3 +126,95 @@ class TestHarnessEdges:
             == [(96, 0)]
         assert run.pc_trace[0] == 0
         assert run.pc_trace[-1] == target.program.halt_address
+
+
+def _read_per_bit(sim, nets):
+    return LVec([sim.get_net(int(n)) for n in nets])
+
+
+def _write_per_bit(sim, nets, vec):
+    for net, bit in zip(nets, vec.bits):
+        sim.set_net(int(net), bit)
+
+
+def per_bit_drive(target, sim):
+    """The memory read ports serviced a bit at a time through LVecs."""
+    _write_per_bit(sim, target._pmem_data,
+                   target.rom.read(_read_per_bit(sim, target._pmem_addr)))
+    dmem = sim.memories["dmem"]
+    _write_per_bit(sim, target._dmem_rdata,
+                   dmem.read(_read_per_bit(sim, target._dmem_addr)))
+
+
+def per_bit_on_edge(target, sim):
+    we = sim.get_net(target._dmem_we)
+    if we is not Logic.L0:
+        sim.memories["dmem"].write(_read_per_bit(sim, target._dmem_addr),
+                                   _read_per_bit(sim, target._dmem_wdata),
+                                   enable=we)
+
+
+class TestPlanePorts:
+    """``CoreTarget.drive``/``on_edge`` move buses as ``(val, known)``
+    rows; they must do exactly what the per-bit port reading does."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_drive_and_on_edge_match_per_bit_ports(self, seed):
+        rng = random.Random(seed)
+        nl, meta = built_core("omsp430")
+        prog = Msp430Assembler().assemble("_halt: jmp _halt")
+        target = CoreTarget(nl, meta, prog)
+        for addr in rng.sample(range(target.rom.words), 24):
+            target.rom.load_word(addr, rng.getrandbits(meta.word_width))
+            if rng.random() < 0.3:
+                target.rom.set_unknown(addr)
+        plane, bit = target.make_sim(), target.make_sim()
+
+        def level(x_share=0.3):
+            if rng.random() < x_share:
+                return Logic.X
+            return rng.choice([Logic.L0, Logic.L1])
+
+        dmem_words = plane.memories["dmem"].words
+        for addr in range(dmem_words):
+            word = rng.getrandbits(meta.word_width)
+            unknown = rng.random() < 0.2
+            for sim in (plane, bit):
+                sim.memories["dmem"].load_word(addr, word)
+                if unknown:
+                    sim.memories["dmem"].set_unknown(addr)
+        # each bus concrete or X-bearing on its own; the enable too
+        buses = [target._pmem_addr, target._dmem_addr, target._dmem_wdata,
+                 [target._dmem_we]]
+        for bus in buses:
+            x_share = rng.choice([0.0, 0.1, 0.5])
+            for net in bus:
+                value = level(x_share)
+                for sim in (plane, bit):
+                    sim.set_net(int(net), value)
+        # forced read-port nets: the bus writes must leave them alone
+        read_ports = [*target._pmem_data, *target._dmem_rdata]
+        forced = rng.sample(read_ports, rng.randint(0, 4))
+        for net in forced:
+            value = level()
+            for sim in (plane, bit):
+                sim.force(int(net), value)
+        before = (plane.val[forced].copy(), plane.known[forced].copy())
+
+        target.drive(plane)
+        per_bit_drive(target, bit)
+        assert (plane.val == bit.val).all()
+        assert (plane.known == bit.known).all()
+        assert (plane.val[forced] == before[0]).all()
+        assert (plane.known[forced] == before[1]).all()
+
+        target.on_edge(plane)
+        per_bit_on_edge(target, bit)
+        mine, ref = plane.memories["dmem"], bit.memories["dmem"]
+        assert mine == ref
+        assert (mine.x_addr_writes, mine.x_en_writes) == \
+            (ref.x_addr_writes, ref.x_en_writes)
+        plane.settle()
+        bit.settle()
+        assert (plane.val == bit.val).all()
+        assert (plane.known == bit.known).all()

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.coanalysis.trace import (EVENT_KINDS, JsonlTraceSink,
                                     MetricsAggregator, ProgressLine,
                                     TraceEvent, Tracer, aggregate_trace,
@@ -73,6 +78,48 @@ class TestJsonlRoundTrip:
         sink = JsonlTraceSink(tmp_path / "t.jsonl")
         sink.close()
         sink.emit(TraceEvent("halt"))   # must not raise
+
+    def test_killed_writer_leaves_every_emitted_event(self, tmp_path):
+        """A process that dies without closing its sink (``os._exit``,
+        as under SIGKILL) still leaves each event it emitted, whole."""
+        out = tmp_path / "killed.jsonl"
+        script = (
+            "import os, sys\n"
+            "from repro.coanalysis.trace import JsonlTraceSink, TraceEvent\n"
+            "sink = JsonlTraceSink(sys.argv[1])\n"
+            "for i in range(int(sys.argv[2])):\n"
+            "    sink.emit(TraceEvent('halt', seq=i, pc=i))\n"
+            "os._exit(0)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script, str(out), "7"],
+                       check=True, env=env, timeout=60)
+        assert [e.seq for e in read_trace(out)] == list(range(7))
+
+    def test_append_cuts_a_torn_tail(self, tmp_path):
+        out = tmp_path / "torn.jsonl"
+        events = events_for_small_run()
+        sink = JsonlTraceSink(out)
+        for event in events[:5]:
+            sink.emit(event)
+        sink.close()
+        with open(out, "a") as fh:          # a writer killed mid-line
+            fh.write('{"kind":"halt","seq":5,"pa')
+        sink = JsonlTraceSink(out, mode="a")
+        for event in events[5:]:
+            sink.emit(event)
+        sink.close()
+        assert [e.kind for e in read_trace(out)] == \
+            [e.kind for e in events]
+
+    def test_append_to_a_file_of_one_torn_line(self, tmp_path):
+        out = tmp_path / "torn.jsonl"
+        out.write_text('{"kind":"ha')
+        sink = JsonlTraceSink(out, mode="a")
+        sink.emit(TraceEvent("halt", seq=0))
+        sink.close()
+        assert [e.kind for e in read_trace(out)] == ["halt"]
 
 
 class TestMetrics:
